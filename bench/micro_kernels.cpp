@@ -62,20 +62,15 @@ BM_Gemm(benchmark::State &state)
 }
 
 /**
- * Packed-vs-unpacked A/B at L2-outgrowing shapes: the same
- * single-thread NT GEMM under SNIP_GEMM_PACK=on and =off on the
- * dispatched backend. The large shapes (512/1024/2048) are the ones
- * whose operand panels no longer fit L2, where the packed pipeline's
- * contiguous strip-major traffic and 6x16 register tile pay off; the
- * acceptance target is >= 1.5x at n=2048 on AVX2.
+ * The packed pipeline at L2-outgrowing shapes: a single-thread NT GEMM
+ * on the dispatched backend, which the shape heuristic packs at these
+ * sizes (512/1024/2048). Here operand panels no longer fit L2, so the
+ * packed pipeline's contiguous strip-major traffic and 6x16 register
+ * tile pay off.
  */
 void
-BM_GemmPack(benchmark::State &state, const char *mode)
+BM_GemmPack(benchmark::State &state)
 {
-    if (!setGemmPackModeByName(mode)) {
-        state.SkipWithError("bad pack mode");
-        return;
-    }
     runtime::setGlobalThreadCount(1);
     const int64_t n = state.range(0);
     Rng rng(3);
@@ -87,7 +82,6 @@ BM_GemmPack(benchmark::State &state, const char *mode)
     }
     setGemmThroughput(state, 2 * n * n * n);
     runtime::setGlobalThreadCount(0);
-    setGemmPackModeByName("auto");
 }
 
 /**
@@ -99,7 +93,6 @@ BM_GemmPack(benchmark::State &state, const char *mode)
 void
 BM_QuantGemmNT(benchmark::State &state, bool fused)
 {
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(1);
     const int64_t n = state.range(0);
     Rng rng(5);
@@ -123,7 +116,6 @@ BM_QuantGemmNT(benchmark::State &state, bool fused)
     }
     setGemmThroughput(state, 2 * n * n * n);
     runtime::setGlobalThreadCount(0);
-    setGemmPackModeByName("auto");
 }
 
 void
@@ -148,41 +140,6 @@ BM_PlainStep(benchmark::State &state)
     trainer.train(2);
     for (auto _ : state)
         benchmark::DoNotOptimize(trainer.trainStep());
-}
-
-/**
- * fig8-style training step, packed vs unpacked (excluded from the CI
- * regression gate — end-to-end steps are too noisy for a 25% bound).
- * The model is sized so its GEMMs clear the Auto pack threshold, and
- * layers run FP8 so the step exercises fused quantize-on-pack and the
- * per-step weight-pack cache. The packed side runs the shipped
- * SNIP_GEMM_PACK=auto policy (large GEMMs pack, the tiny per-head
- * attention GEMMs stay on the legacy path where packing cannot pay
- * off); "off" pins everything to the legacy path.
- */
-void
-BM_TrainStepPack(benchmark::State &state, const char *mode)
-{
-    if (!setGemmPackModeByName(mode)) {
-        state.SkipWithError("bad pack mode");
-        return;
-    }
-    ModelConfig model = tinyTestModel();
-    model.d_model = 128;
-    model.n_heads = 4;
-    model.n_kv_heads = 4;
-    model.ffn_hidden = 512;
-    model.n_blocks = 2;
-    TrainerConfig cfg = trainerPreset(model);
-    cfg.batch_size = 8;
-    Trainer trainer(cfg);
-    trainer.model().setScheme(PrecisionScheme::uniform(
-        static_cast<size_t>(trainer.model().registry().numLinear()),
-        Precision::FP8));
-    trainer.train(2);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(trainer.trainStep());
-    setGemmPackModeByName("auto");
 }
 
 /**
@@ -293,7 +250,7 @@ attnBenchShape(int64_t id)
 }
 
 /** Forward GEMM FLOPs of the attention core (QK^T + PV); softmax is
- *  excluded so par/serial rows share one denominator. */
+ *  excluded. */
 int64_t
 attnFwdFlops(const AttnShape &s)
 {
@@ -301,18 +258,13 @@ attnFwdFlops(const AttnShape &s)
 }
 
 /**
- * The attention core (scores + fused softmax + context) under
- * SNIP_ATTN=par (batched runtime) vs =serial (historical per-head
- * loop), single-thread pinned so the rows isolate the batched-GEMM +
- * fused-kernel win; BM_AttnThreads sweeps the thread count.
+ * The attention core (scores + fused softmax + context), single-thread
+ * pinned so the rows isolate the batched-GEMM + fused-kernel cost;
+ * BM_AttnThreads sweeps the thread count.
  */
 void
-BM_AttnFwd(benchmark::State &state, const char *mode)
+BM_AttnFwd(benchmark::State &state)
 {
-    if (!setAttnModeByName(mode)) {
-        state.SkipWithError("bad attention mode");
-        return;
-    }
     runtime::setGlobalThreadCount(1);
     const AttnShape s = attnBenchShape(state.range(0));
     Rng rng(21);
@@ -331,18 +283,13 @@ BM_AttnFwd(benchmark::State &state, const char *mode)
     }
     setGemmThroughput(state, attnFwdFlops(s));
     runtime::setGlobalThreadCount(0);
-    setAttnModeByName("par");
 }
 
 /** Backward half of the attention core (4 GEMMs + fused softmax
  *  backward); dq/dk/dv zeroing is timed — it is part of a real step. */
 void
-BM_AttnBwd(benchmark::State &state, const char *mode)
+BM_AttnBwd(benchmark::State &state)
 {
-    if (!setAttnModeByName(mode)) {
-        state.SkipWithError("bad attention mode");
-        return;
-    }
     runtime::setGlobalThreadCount(1);
     const AttnShape s = attnBenchShape(state.range(0));
     Rng rng(22);
@@ -372,15 +319,12 @@ BM_AttnBwd(benchmark::State &state, const char *mode)
     }
     setGemmThroughput(state, 2 * attnFwdFlops(s));
     runtime::setGlobalThreadCount(0);
-    setAttnModeByName("par");
 }
 
-/** Thread sweep of the batched forward core at the fig8-scale shape
- *  (serial rows would be flat by construction). */
+/** Thread sweep of the batched forward core at the fig8-scale shape. */
 void
 BM_AttnThreads(benchmark::State &state)
 {
-    setAttnModeByName("par");
     runtime::setGlobalThreadCount(static_cast<int>(state.range(0)));
     const AttnShape s = attnBenchShape(1);
     Rng rng(23);
@@ -462,11 +406,10 @@ BENCHMARK_CAPTURE(BM_QuantizeTensor, bf16_fastpath,
                               {Granularity::Tensorwise, 0},
                               Rounding::Nearest});
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK_CAPTURE(BM_GemmPack, on, "on")
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(2048);
-BENCHMARK_CAPTURE(BM_GemmPack, off, "off")
+// Row names keep their historical "/on" and "/par" segments so the
+// checked-in baseline stays continuous.
+BENCHMARK(BM_GemmPack)
+    ->Name("BM_GemmPack/on")
     ->Arg(512)
     ->Arg(1024)
     ->Arg(2048);
@@ -494,19 +437,13 @@ BENCHMARK(BM_QuantizeThreads)
     ->Args({512, 4})
     ->Args({512, 8})
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_AttnFwd, par, "par")
+BENCHMARK(BM_AttnFwd)
+    ->Name("BM_AttnFwd/par")
     ->ArgName("shape")
     ->Arg(0)
     ->Arg(1);
-BENCHMARK_CAPTURE(BM_AttnFwd, serial, "serial")
-    ->ArgName("shape")
-    ->Arg(0)
-    ->Arg(1);
-BENCHMARK_CAPTURE(BM_AttnBwd, par, "par")
-    ->ArgName("shape")
-    ->Arg(0)
-    ->Arg(1);
-BENCHMARK_CAPTURE(BM_AttnBwd, serial, "serial")
+BENCHMARK(BM_AttnBwd)
+    ->Name("BM_AttnBwd/par")
     ->ArgName("shape")
     ->Arg(0)
     ->Arg(1);
@@ -519,8 +456,6 @@ BENCHMARK(BM_AttnThreads)
     ->UseRealTime();
 BENCHMARK(BM_StatsCollection);
 BENCHMARK(BM_PlainStep);
-BENCHMARK_CAPTURE(BM_TrainStepPack, auto_pack, "auto");
-BENCHMARK_CAPTURE(BM_TrainStepPack, off, "off");
 BENCHMARK(BM_IlpBranchAndBound)->Arg(154)->Arg(560);
 BENCHMARK(BM_IlpDp)->Arg(154)->Arg(560);
 

@@ -1,11 +1,7 @@
 #include "nn/attention.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
-#include "runtime/env_config.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
 #include "serve/kv_cache.h"
@@ -52,130 +48,6 @@ scatterHeadAdd(float *dst, const float *src, int64_t b, int64_t h,
     }
 }
 
-// -------------------------------------------------------------- mode
-
-std::atomic<int> g_attn_mode{-1}; // -1 = unresolved
-
-bool
-parseAttnMode(const char *spec, AttnMode *out)
-{
-    if (spec == nullptr || *spec == '\0' ||
-        std::strcmp(spec, "par") == 0) {
-        *out = AttnMode::Par;
-        return true;
-    }
-    if (std::strcmp(spec, "serial") == 0) {
-        *out = AttnMode::Serial;
-        return true;
-    }
-    return false;
-}
-
-// ------------------------------------------------------- serial core
-
-/**
- * The historical per-(b,h) loop, kept bit-for-bit for A/B
- * (SNIP_ATTN=serial): per-head gathers into arena scratch, per-head
- * GEMMs through the ordinary entry points, fused softmax kernel (bit-
- * exact against the old open-coded loops by the kernel contract).
- */
-void
-forwardSerial(const AttnShape &s, const float *q, const float *k,
-              const float *v, float *probs, float *ctx)
-{
-    const int64_t seq = s.seq, hd = s.head_dim;
-    const int64_t n_heads = s.n_heads, n_kv = s.n_kv_heads;
-    const int64_t group = n_heads / n_kv;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-    const simd::KernelTable &kt = simd::activeKernels();
-
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
-    runtime::ArenaScope scope(arena);
-    const size_t buf = static_cast<size_t>(seq * hd);
-    float *qb = arena.getFloats(buf);
-    float *kb = arena.getFloats(buf);
-    float *vb = arena.getFloats(buf);
-    float *cb = arena.getFloats(buf);
-
-    for (int64_t b = 0; b < s.batch; ++b) {
-        for (int64_t h = 0; h < n_heads; ++h) {
-            const int64_t kvh = h / group;
-            gatherHead(q, qb, b, h, seq, n_heads, hd);
-            gatherHead(k, kb, b, kvh, seq, n_kv, hd);
-            gatherHead(v, vb, b, kvh, seq, n_kv, hd);
-
-            float *prob = probs + (b * n_heads + h) * seq * seq;
-            gemmNT(qb, kb, prob, seq, seq, hd);
-            kt.attnSoftmaxFwd(prob, seq, scale);
-            gemmNN(prob, vb, cb, seq, hd, seq);
-
-            // ctx slice is written exactly once per (b,h): plain copy.
-            const int64_t cols = n_heads * hd;
-            for (int64_t ss = 0; ss < seq; ++ss) {
-                float *dst = ctx + (b * seq + ss) * cols + h * hd;
-                const float *src = cb + ss * hd;
-                for (int64_t c = 0; c < hd; ++c)
-                    dst[c] = src[c];
-            }
-        }
-    }
-}
-
-void
-backwardSerial(const AttnShape &s, const float *q, const float *k,
-               const float *v, const float *probs, const float *dctx,
-               float *dq, float *dk, float *dv)
-{
-    const int64_t seq = s.seq, hd = s.head_dim;
-    const int64_t n_heads = s.n_heads, n_kv = s.n_kv_heads;
-    const int64_t group = n_heads / n_kv;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-    const simd::KernelTable &kt = simd::activeKernels();
-
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
-    runtime::ArenaScope scope(arena);
-    const size_t buf = static_cast<size_t>(seq * hd);
-    const size_t sq = static_cast<size_t>(seq * seq);
-    float *qb = arena.getFloats(buf);
-    float *kb = arena.getFloats(buf);
-    float *vb = arena.getFloats(buf);
-    float *dcb = arena.getFloats(buf);
-    float *dqb = arena.getFloats(buf);
-    float *dkb = arena.getFloats(buf);
-    float *dvb = arena.getFloats(buf);
-    float *dp = arena.getFloats(sq);
-    float *ds = arena.getFloats(sq);
-
-    for (int64_t b = 0; b < s.batch; ++b) {
-        for (int64_t h = 0; h < n_heads; ++h) {
-            const int64_t kvh = h / group;
-            gatherHead(q, qb, b, h, seq, n_heads, hd);
-            gatherHead(k, kb, b, kvh, seq, n_kv, hd);
-            gatherHead(v, vb, b, kvh, seq, n_kv, hd);
-            gatherHead(dctx, dcb, b, h, seq, n_heads, hd);
-
-            const float *prob = probs + (b * n_heads + h) * seq * seq;
-
-            // dV = P^T dCtx ; dP = dCtx V^T.
-            gemmTN(prob, dcb, dvb, seq, hd, seq);
-            gemmNT(dcb, vb, dp, seq, seq, hd);
-
-            // Softmax backward (scale folded): dS = P .* (dP - rowdot).
-            kt.attnSoftmaxBwd(prob, dp, ds, seq, scale);
-
-            // dQ = dS_raw K ; dK = dS_raw^T Q.
-            gemmNN(ds, kb, dqb, seq, hd, seq);
-            gemmTN(ds, qb, dkb, seq, hd, seq);
-
-            scatterHeadAdd(dq, dqb, b, h, seq, n_heads, hd);
-            scatterHeadAdd(dk, dkb, b, kvh, seq, n_kv, hd);
-            scatterHeadAdd(dv, dvb, b, kvh, seq, n_kv, hd);
-        }
-    }
-}
-
 // ------------------------------------------------------ batched core
 
 /** One batched attention invocation: dims plus every buffer the
@@ -203,8 +75,8 @@ struct ParCtx
     float *gather_dst;
 };
 
-/** Gather all query heads (items ordered (b, h) — identical to the
- *  serial loop's visit order) into a [count, seq, hd] slab. */
+/** Gather all query heads (items ordered (b, h)) into a
+ *  [count, seq, hd] slab. */
 void
 gatherQ(ParCtx *c, const float *src, float *dst)
 {
@@ -239,11 +111,11 @@ gatherKV(ParCtx *c, const float *src, float *dst)
 }
 
 /**
- * Batched schedule (SNIP_ATTN=par). Item i = b*n_heads + h walks the
- * same (b, h) order as the serial loop, and — because query heads are
- * numbered kvh*group + g — its kv head is simply i / group, so the
- * strided-batch GEMMs read the gathered slabs directly. All scratch
- * comes from workspace arenas: zero steady-state heap allocations.
+ * Batched schedule. Item i = b*n_heads + h walks the (b, h) order,
+ * and — because query heads are numbered kvh*group + g — its kv head
+ * is simply i / group, so the strided-batch GEMMs read the gathered
+ * slabs directly. All scratch comes from workspace arenas: zero
+ * steady-state heap allocations.
  */
 void
 forwardPar(const AttnShape &s, const float *q, const float *k,
@@ -485,36 +357,6 @@ validateShape(const AttnShape &s)
 
 } // namespace
 
-// ---------------------------------------------------------- mode API
-
-AttnMode
-attnMode()
-{
-    int mode = g_attn_mode.load(std::memory_order_acquire);
-    if (mode < 0) {
-        AttnMode m = AttnMode::Par;
-        const char *spec = runtime::envConfig().attn().cstrOrNull();
-        if (!parseAttnMode(spec, &m)) {
-            warn("unknown SNIP_ATTN value '", spec,
-                 "' (expected par|serial); using par");
-            m = AttnMode::Par;
-        }
-        mode = static_cast<int>(m);
-        g_attn_mode.store(mode, std::memory_order_release);
-    }
-    return static_cast<AttnMode>(mode);
-}
-
-bool
-setAttnModeByName(const char *name)
-{
-    AttnMode m;
-    if (!parseAttnMode(name, &m))
-        return false;
-    g_attn_mode.store(static_cast<int>(m), std::memory_order_release);
-    return true;
-}
-
 // --------------------------------------------------------- core API
 
 void
@@ -526,10 +368,7 @@ attentionForwardCore(const AttnShape &s, const float *q, const float *k,
     telemetry::count(telemetry::Counter::AttnFwdCalls);
     trace::TraceScope span(trace::Category::Attn, "attn_fwd", "batch",
                            s.batch, "heads", s.n_heads);
-    if (attnMode() == AttnMode::Par)
-        forwardPar(s, q, k, v, probs, ctx);
-    else
-        forwardSerial(s, q, k, v, probs, ctx);
+    forwardPar(s, q, k, v, probs, ctx);
 }
 
 void
@@ -542,10 +381,7 @@ attentionBackwardCore(const AttnShape &s, const float *q, const float *k,
     telemetry::count(telemetry::Counter::AttnBwdCalls);
     trace::TraceScope span(trace::Category::Attn, "attn_bwd", "batch",
                            s.batch, "heads", s.n_heads);
-    if (attnMode() == AttnMode::Par)
-        backwardPar(s, q, k, v, probs, dctx, dq, dk, dv);
-    else
-        backwardSerial(s, q, k, v, probs, dctx, dq, dk, dv);
+    backwardPar(s, q, k, v, probs, dctx, dq, dk, dv);
 }
 
 // ------------------------------------------------------------ module

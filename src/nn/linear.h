@@ -50,8 +50,8 @@ class LinearTap
  * One forward() must be followed by at most one backward() (the layer
  * saves its input activation in between).
  *
- * Large GEMMs take the packed pipeline (tensor/gemm.h,
- * SNIP_GEMM_PACK): nearest-rounded operands are quantized ON THE PACK
+ * Large GEMMs take the packed pipeline (tensor/gemm.h; the shape
+ * picks the path): nearest-rounded operands are quantized ON THE PACK
  * (no quantized tensor copy is materialized — the quantization
  * decision is a pack policy), stochastic-rounded operands (FP4
  * gradients) are materialized first, and the layer's PackedWeightCache
@@ -85,8 +85,9 @@ class Linear
      * cached and rebuilt only when the weight-pack epoch moves or the
      * scheme changes). Saves nothing, fires no tap, and after warm-up
      * performs zero heap allocations. Rows are bit-identical to
-     * forward()'s legacy (non-packed) path, i.e. to forward() itself
-     * under SNIP_GEMM_PACK=off. Stochastic-rounding schemes are a
+     * forward() whenever the two calls' GEMM shapes select the same
+     * packed-or-not path (tensor/gemm.h); a decode row (rows <= 3)
+     * always runs unpacked. Stochastic-rounding schemes are a
      * training-only feature and hard-error here.
      */
     void forwardInference(const float *x, int64_t rows, float *y);

@@ -1,20 +1,28 @@
 #include "runtime/env_config.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
+#include <set>
 #include <thread>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_annotations.h"
 
+extern char **environ;
+
 namespace snip {
 namespace runtime {
 
 namespace {
 
+/** Capture one knob and record its name in *known, so the captures
+ *  themselves are the one list of knob names. */
 EnvKnob
-captureKnob(const char *name)
+captureKnob(const char *name, std::vector<const char *> *known)
 {
+    known->push_back(name);
     EnvKnob k;
     if (const char *v = std::getenv(name)) {
         k.set = true;
@@ -54,6 +62,24 @@ parseKvPage(const EnvKnob &knob)
     return std::min<long>(v, 4096);
 }
 
+/** Names of the set SNIP_* variables that are not in known. */
+std::vector<std::string>
+captureUnknown(const std::vector<const char *> &known)
+{
+    std::vector<std::string> out;
+    for (char **e = environ; e != nullptr && *e != nullptr; ++e) {
+        if (std::strncmp(*e, "SNIP_", 5) != 0)
+            continue;
+        const char *eq = std::strchr(*e, '=');
+        std::string name(*e, eq ? static_cast<size_t>(eq - *e)
+                                : std::strlen(*e));
+        if (std::none_of(known.begin(), known.end(),
+                         [&](const char *k) { return name == k; }))
+            out.push_back(std::move(name));
+    }
+    return out;
+}
+
 void
 appendKnob(std::string *out, const char *name, const EnvKnob &knob,
            const std::string &effective)
@@ -71,6 +97,20 @@ util::Mutex g_mu;
 // guarded; the snapshot it points at is immutable after publication
 // (reloadEnvConfig is a test-only seam, documented in the header).
 EnvConfig *g_config SNIP_GUARDED_BY(g_mu) = nullptr;
+/** Unknown variables already warned about (once per process); leaked
+ *  like g_config. */
+std::set<std::string> *g_warned SNIP_GUARDED_BY(g_mu) = nullptr;
+
+void
+warnUnknownOnce(const EnvConfig &c) SNIP_REQUIRES(g_mu)
+{
+    if (g_warned == nullptr)
+        g_warned = new std::set<std::string>;
+    for (const std::string &name : c.unknownKnobs())
+        if (g_warned->insert(name).second)
+            warn("ignoring unknown environment variable ", name,
+                 " (not a SNIP knob; see runtime/env_config.h)");
+}
 
 } // namespace
 
@@ -78,15 +118,15 @@ EnvConfig
 EnvConfig::fromEnvironment()
 {
     EnvConfig c;
-    c.threads_knob_ = captureKnob("SNIP_THREADS");
-    c.simd_ = captureKnob("SNIP_SIMD");
-    c.gemm_pack_ = captureKnob("SNIP_GEMM_PACK");
-    c.attn_ = captureKnob("SNIP_ATTN");
-    c.telemetry_ = captureKnob("SNIP_TELEMETRY");
-    c.trace_ = captureKnob("SNIP_TRACE");
-    c.kv_cache_ = captureKnob("SNIP_KV_CACHE");
-    c.kv_page_ = captureKnob("SNIP_KV_PAGE");
-    c.fault_ = captureKnob("SNIP_FAULT");
+    std::vector<const char *> known;
+    c.threads_knob_ = captureKnob("SNIP_THREADS", &known);
+    c.simd_ = captureKnob("SNIP_SIMD", &known);
+    c.telemetry_ = captureKnob("SNIP_TELEMETRY", &known);
+    c.trace_ = captureKnob("SNIP_TRACE", &known);
+    c.kv_cache_ = captureKnob("SNIP_KV_CACHE", &known);
+    c.kv_page_ = captureKnob("SNIP_KV_PAGE", &known);
+    c.fault_ = captureKnob("SNIP_FAULT", &known);
+    c.unknown_ = captureUnknown(known);
     c.threads_ = parseThreads(c.threads_knob_);
     c.kv_page_tokens_ = parseKvPage(c.kv_page_);
     return c;
@@ -100,9 +140,6 @@ EnvConfig::dump() const
                strformat("%d", threads_));
     appendKnob(&out, "SNIP_SIMD", simd_,
                simd_.set ? simd_.value : "auto");
-    appendKnob(&out, "SNIP_GEMM_PACK", gemm_pack_,
-               gemm_pack_.set ? gemm_pack_.value : "auto");
-    appendKnob(&out, "SNIP_ATTN", attn_, attn_.set ? attn_.value : "par");
     appendKnob(&out, "SNIP_TELEMETRY", telemetry_,
                telemetry_.set ? telemetry_.value : "off");
     appendKnob(&out, "SNIP_TRACE", trace_,
@@ -114,6 +151,9 @@ EnvConfig::dump() const
                          static_cast<long long>(kv_page_tokens_)));
     appendKnob(&out, "SNIP_FAULT", fault_,
                fault_.set ? fault_.value : "off");
+    for (const std::string &name : unknown_)
+        out.append(strformat("  %-14s   ignored (unknown knob)\n",
+                             name.c_str()));
     return out;
 }
 
@@ -121,8 +161,10 @@ const EnvConfig &
 envConfig()
 {
     util::MutexLock lk(g_mu);
-    if (g_config == nullptr)
+    if (g_config == nullptr) {
         g_config = new EnvConfig(EnvConfig::fromEnvironment());
+        warnUnknownOnce(*g_config);
+    }
     return *g_config;
 }
 
@@ -133,6 +175,7 @@ reloadEnvConfig()
     if (g_config == nullptr)
         g_config = new EnvConfig;
     *g_config = EnvConfig::fromEnvironment();
+    warnUnknownOnce(*g_config);
     return *g_config;
 }
 

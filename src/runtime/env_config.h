@@ -14,8 +14,6 @@
  * Knobs:
  *   SNIP_THREADS    worker count for the global pool (>=1, capped 512)
  *   SNIP_SIMD       kernel backend: auto|avx2|scalar
- *   SNIP_GEMM_PACK  packed-GEMM policy: auto|on|off
- *   SNIP_ATTN       attention scheduling: par|serial
  *   SNIP_TELEMETRY  telemetry sink: off|on|json:<path>
  *   SNIP_TRACE      span-trace sink: off|on|json:<path>
  *   SNIP_KV_CACHE   serving KV-cache storage: fp8|fp32
@@ -26,14 +24,19 @@
  *
  * Only the knobs whose grammar is owned here (threads, KV page size)
  * are parsed eagerly; the string-valued specs are handed to their
- * owning modules (simd::, gemmPackMode(), ...) untouched so the parse
+ * owning modules (simd::, trace::, ...) untouched so the parse
  * warnings keep firing from the subsystem that understands them.
+ *
+ * Any other set SNIP_* variable draws one warning per process (a
+ * script still exporting a retired knob would otherwise run silently
+ * under different numerics than it asks for) and is listed by dump().
  */
 #ifndef SNIP_RUNTIME_ENV_CONFIG_H
 #define SNIP_RUNTIME_ENV_CONFIG_H
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace snip {
 namespace runtime {
@@ -71,13 +74,18 @@ class EnvConfig
 
     const EnvKnob &threadsKnob() const { return threads_knob_; }
     const EnvKnob &simd() const { return simd_; }
-    const EnvKnob &gemmPack() const { return gemm_pack_; }
-    const EnvKnob &attn() const { return attn_; }
     const EnvKnob &telemetry() const { return telemetry_; }
     const EnvKnob &trace() const { return trace_; }
     const EnvKnob &kvCache() const { return kv_cache_; }
     const EnvKnob &kvPage() const { return kv_page_; }
     const EnvKnob &fault() const { return fault_; }
+
+    /** Names of the set SNIP_* variables that are not knobs, in
+     *  environment order. */
+    const std::vector<std::string> &unknownKnobs() const
+    {
+        return unknown_;
+    }
 
     /** Human-readable multi-line rendering of every knob: the
      *  effective value plus the raw environment text (or "unset"). */
@@ -86,24 +94,24 @@ class EnvConfig
   private:
     EnvKnob threads_knob_;
     EnvKnob simd_;
-    EnvKnob gemm_pack_;
-    EnvKnob attn_;
     EnvKnob telemetry_;
     EnvKnob trace_;
     EnvKnob kv_cache_;
     EnvKnob kv_page_;
     EnvKnob fault_;
+    std::vector<std::string> unknown_;
     int threads_ = 1;
     int64_t kv_page_tokens_ = 16;
 };
 
-/** The process-wide snapshot, captured on first use. */
+/** The process-wide snapshot, captured on first use (warning once
+ *  for each unknown SNIP_* variable). */
 const EnvConfig &envConfig();
 
 /**
  * Re-capture the environment into the process-wide snapshot and
  * return it. Test-only: callers own the race (no in-flight readers),
- * mirroring simd::reinitFromEnv() / setAttnModeByName().
+ * mirroring simd::reinitFromEnv().
  */
 const EnvConfig &reloadEnvConfig();
 

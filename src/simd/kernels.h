@@ -182,8 +182,7 @@ using SumSquaresFn = double (*)(const float *p, int64_t count);
  * Contract: bit-exact across backends AND bit-exact against the
  * historical open-coded loop in nn/attention.cpp (the multiplies are
  * per-element IEEE ops, exp() and the row-sum accumulation stay
- * scalar), so SNIP_ATTN=serial keeps pre-batching bits while sharing
- * this kernel. tests/test_simd.cpp enforces the agreement.
+ * scalar). tests/test_simd.cpp enforces the agreement.
  */
 using AttnSoftmaxFwdFn = void (*)(float *prob, int64_t seq, float scale);
 

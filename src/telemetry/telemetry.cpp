@@ -13,7 +13,6 @@
 #include "runtime/fault_injection.h"
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
-#include "tensor/gemm.h"
 #include "util/file_io.h"
 #include "util/logging.h"
 #include "util/thread_annotations.h"
@@ -389,18 +388,6 @@ renderDocumentLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
     appendInt(doc, "threads", runtime::defaultThreadCount(), false);
     doc += ", \"simd\": \"";
     appendEscaped(doc, simd::activeBackendName());
-    doc += "\", \"gemm_pack\": \"";
-    switch (gemmPackMode()) {
-        case GemmPackMode::On:
-            doc += "on";
-            break;
-        case GemmPackMode::Off:
-            doc += "off";
-            break;
-        case GemmPackMode::Auto:
-            doc += "auto";
-            break;
-    }
     doc += "\"}, \"series\": [";
     for (size_t i = 0; i < reg.series.size(); ++i) {
         if (i > 0)

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "quant/codec.h"
 #include "quant/scaling.h"
-#include "runtime/env_config.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
 #include "simd/dispatch.h"
@@ -52,11 +50,17 @@ struct LegacyCtx
 };
 
 /**
- * Pre-packing driver, kept verbatim behind SNIP_GEMM_PACK=off (and for
- * shapes below the Auto threshold): fan M-blocks of C out over the
- * thread pool and hand each block to the dispatched backend
- * microkernel. Zeroing happens here (backend-independent) so the
- * kernels always accumulate.
+ * Unpacked driver, the small-shape path (below the gemmPackEnabled()
+ * thresholds): fan M-blocks of C out over the thread pool and hand
+ * each block to the dispatched backend microkernel. Zeroing happens
+ * here (backend-independent) so the kernels always accumulate.
+ *
+ * It stays because small decode shapes are memory-bound and the pack
+ * copy costs more than it saves there: forcing every GEMM through the
+ * packed pipeline measured 19.4-23.8k tok/s against 22.5-28.0k, and
+ * ITL p50 0.23-0.29 ms against 0.15-0.20 ms, on the serve_fp32kv
+ * benchmark workload (perfbench/run.py --threads 2, 4-vCPU x86-64
+ * AVX2 host), while training throughput did not change.
  */
 void
 gemmBlockedLegacy(simd::GemmBlockFn block_fn, const float *a,
@@ -84,29 +88,6 @@ gemmBlockedLegacy(simd::GemmBlockFn block_fn, const float *a,
                          pc->k);
         }
     });
-}
-
-// -------------------------------------------------------------- mode
-
-std::atomic<int> g_pack_mode{-1}; // -1 = unresolved
-
-bool
-parsePackMode(const char *spec, GemmPackMode *out)
-{
-    if (spec == nullptr || *spec == '\0' ||
-        std::strcmp(spec, "auto") == 0) {
-        *out = GemmPackMode::Auto;
-        return true;
-    }
-    if (std::strcmp(spec, "on") == 0) {
-        *out = GemmPackMode::On;
-        return true;
-    }
-    if (std::strcmp(spec, "off") == 0) {
-        *out = GemmPackMode::Off;
-        return true;
-    }
-    return false;
 }
 
 // ---------------------------------------------- fused-quant plumbing
@@ -739,48 +720,11 @@ runItemPackedTN(const BatchedCtx *ctx, const float *a, const float *b,
 
 } // namespace
 
-// --------------------------------------------------------- mode API
-
-GemmPackMode
-gemmPackMode()
-{
-    int mode = g_pack_mode.load(std::memory_order_acquire);
-    if (mode < 0) {
-        GemmPackMode m = GemmPackMode::Auto;
-        const char *spec =
-            runtime::envConfig().gemmPack().cstrOrNull();
-        if (!parsePackMode(spec, &m)) {
-            warn("unknown SNIP_GEMM_PACK value '", spec,
-                 "' (expected auto|on|off); using auto");
-            m = GemmPackMode::Auto;
-        }
-        mode = static_cast<int>(m);
-        g_pack_mode.store(mode, std::memory_order_release);
-    }
-    return static_cast<GemmPackMode>(mode);
-}
-
-bool
-setGemmPackModeByName(const char *name)
-{
-    GemmPackMode m;
-    if (!parsePackMode(name, &m))
-        return false;
-    g_pack_mode.store(static_cast<int>(m), std::memory_order_release);
-    return true;
-}
+// ------------------------------------------------------- path choice
 
 bool
 gemmPackEnabled(int64_t m, int64_t n, int64_t k)
 {
-    switch (gemmPackMode()) {
-        case GemmPackMode::Off:
-            return false;
-        case GemmPackMode::On:
-            return m > 0 && n > 0 && k > 0;
-        case GemmPackMode::Auto:
-            break;
-    }
     // Packing copies O(MK + NK) to save on the O(MNK) streaming; below
     // this threshold the copy dominates and the legacy path wins.
     return m >= 4 && n >= kGemmPackNR && k >= 32 &&
@@ -790,14 +734,6 @@ gemmPackEnabled(int64_t m, int64_t n, int64_t k)
 bool
 gemmBatchedPackEnabled(int64_t count, int64_t m, int64_t n, int64_t k)
 {
-    switch (gemmPackMode()) {
-        case GemmPackMode::Off:
-            return false;
-        case GemmPackMode::On:
-            return count > 0 && m > 0 && n > 0 && k > 0;
-        case GemmPackMode::Auto:
-            break;
-    }
     // The amortization unit is the WHOLE batch: the pack copies
     // O(count*(mk + nk)) to save on O(count*mnk) streaming, so a batch
     // of per-head attention GEMMs — each too small to pack alone —

@@ -16,23 +16,26 @@
  * grid-snap quantizer into the pack, so no quantized tensor copy is
  * ever materialized, and an optional PackedWeightCache keeps a
  * weight's packed+quantized panel alive across the GEMMs of one
- * training step. Small shapes (and SNIP_GEMM_PACK=off) run the legacy
- * unpacked kernels unchanged.
+ * training step. Small shapes run the unpacked kernels.
  *
- *   SNIP_GEMM_PACK=auto   pack when the shape outgrows the pack
- *                         overhead (default)
- *   SNIP_GEMM_PACK=on     always pack
- *   SNIP_GEMM_PACK=off    never pack (bit-identical to the pre-packed
- *                         library, for A/B comparison)
+ * The path is a pure function of the shape (gemmPackEnabled(),
+ * gemmBatchedPackEnabled()); there is no user knob. Each path wins
+ * one workload: packing pays off once the O(MNK) streaming outgrows
+ * the O(MK + NK) copy, while small decode shapes are memory-bound and
+ * run faster unpacked (measured end to end on the serve_fp32kv
+ * benchmark workload; see the note on the unpacked driver in
+ * gemm.cpp). The gemmPacked* entry points always pack, whatever the
+ * shape — tests use them to reach the packed kernels on small shapes.
  *
  * Determinism contract: all paths fan kGemmBlockM-row M-blocks of C
  * out over the thread pool; workers own whole rows of C and every
  * per-element accumulation order is a pure function of the shape, so
- * WITHIN one (backend, packed-or-not) configuration results are
- * bit-identical for any thread count. The packed and unpacked paths
- * may differ from each other in low-order bits (the packed microkernel
- * accumulates each C element k-ascending in one lane; the unpacked NT
- * kernel stripes across 8 lanes and reduces).
+ * within one backend results are bit-identical for any thread count.
+ * The packed and unpacked paths may differ from each other in
+ * low-order bits (the packed microkernel accumulates each C element
+ * k-ascending in one lane; the unpacked NT kernel stripes across 8
+ * lanes and reduces), so two computations agree bit for bit when
+ * their shapes select the same path.
  */
 #ifndef SNIP_TENSOR_GEMM_H
 #define SNIP_TENSOR_GEMM_H
@@ -68,9 +71,10 @@ void gemmTN(const float *a, const float *b, float *c, int64_t m, int64_t n,
 // the packed pipeline is decided from the aggregate work
 // count*m*n*k (gemmBatchedPackEnabled below), NOT the per-item
 // shape: attention-style batches of small GEMMs amortize the pack
-// cost across the batch. Under SNIP_GEMM_PACK=off every item runs
-// the per-item legacy kernels, bit-identical to a loop of
-// gemmNT/NN/TN calls.
+// cost across the batch. A batch that does not pack runs every item
+// through the unpacked kernels, bit-identical to a loop of
+// gemmNT/NN/TN calls; one that packs is bit-identical to a loop of
+// gemmPacked* calls.
 
 /**
  * C_i[M,N] (+)= A_i[M,K] * B_{i/group}[N,K]^T for i in [0, count).
@@ -105,8 +109,8 @@ void gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
                    int64_t group = 1, bool accumulate = false);
 
 /** True when a batch of this aggregate shape takes the packed
- *  pipeline under the active SNIP_GEMM_PACK mode (Auto packs once
- *  count*m*n*k — the amortization unit — outgrows the pack cost). */
+ *  pipeline: once count*m*n*k — the amortization unit — outgrows the
+ *  pack cost. */
 bool gemmBatchedPackEnabled(int64_t count, int64_t m, int64_t n,
                             int64_t k);
 
@@ -119,26 +123,11 @@ Tensor matmulNN(const Tensor &a, const Tensor &b);
 /** Y = A^T * B for rank-2 tensors A[K,M], B[K,N]. */
 Tensor matmulTN(const Tensor &a, const Tensor &b);
 
-// --------------------------------------------------- packed-path mode
+// ------------------------------------------------------- path choice
 
-/** SNIP_GEMM_PACK spellings. */
-enum class GemmPackMode
-{
-    Auto,
-    On,
-    Off,
-};
-
-/** The active mode (resolves SNIP_GEMM_PACK on first call). */
-GemmPackMode gemmPackMode();
-
-/** Select a mode programmatically ("auto" | "on" | "off"); false and
- *  unchanged for unknown names. For tests and benches; must not race
- *  with in-flight GEMMs. */
-bool setGemmPackModeByName(const char *name);
-
-/** True when a GEMM of this shape takes the packed pipeline under the
- *  active mode (Auto packs once the work outgrows the pack cost). */
+/** True when a GEMM of this shape takes the packed pipeline: m >= 4,
+ *  n >= kGemmPackNR, k >= 32 and m*n*k >= 2^18 (the work outgrows the
+ *  pack cost). m <= 3 or k < 32 always selects the unpacked kernels. */
 bool gemmPackEnabled(int64_t m, int64_t n, int64_t k);
 
 // ----------------------------------------------- packed-weight cache
@@ -210,7 +199,7 @@ uint64_t weightPackEpoch();
 // operand as-is; stochastic-rounding operands must be materialized by
 // the caller first — their RNG stream is order-sensitive). Results are
 // bit-identical to quantizing a copy with FakeQuantizer and running
-// the packed GEMM on it. These entries always pack regardless of mode
+// the packed GEMM on it. These entries always pack, whatever the shape
 // (callers gate on gemmPackEnabled()); after warm-up they perform zero
 // heap allocations (tests/test_workspace.cpp counts).
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Attention and whole-model tests: causality, GQA shapes, end-to-end
- * gradient checks through the full LlamaModel, scheme application, and
- * the noise-injection hooks SNIP's probes rely on.
+ * gradient checks through the full LlamaModel, scheme application, the
+ * noise-injection hooks SNIP's probes rely on, and the batched
+ * attention core against its per-head reference schedule.
  */
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "nn/model.h"
+#include "simd/dispatch.h"
+#include "simd/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
@@ -48,7 +51,7 @@ TEST(Model, LogitsShape)
 {
     LlamaModel model(microModel(), 1);
     auto tokens = someTokens(2 * 6, 16, 1);
-    Tensor logits = model.forward(tokens, 2, 6);
+    Tensor logits = model.forward(tokens, 2, 6, ForwardMode::Train);
     EXPECT_EQ(logits.size(0), 12);
     EXPECT_EQ(logits.size(1), 16);
     EXPECT_FALSE(hasNonFinite(logits));
@@ -58,10 +61,10 @@ TEST(Model, CausalityFutureTokensDoNotAffectPast)
 {
     LlamaModel model(microModel(), 2);
     auto tokens = someTokens(8, 16, 3);
-    Tensor l1 = model.forward(tokens, 1, 8);
+    Tensor l1 = model.forward(tokens, 1, 8, ForwardMode::Train);
     auto tokens2 = tokens;
     tokens2[7] = (tokens2[7] + 5) % 16; // change the LAST token
-    Tensor l2 = model.forward(tokens2, 1, 8);
+    Tensor l2 = model.forward(tokens2, 1, 8, ForwardMode::Train);
     // Rows 0..6 must be identical; row 7 must differ.
     for (int64_t r = 0; r < 7; ++r)
         for (int64_t v = 0; v < 16; ++v)
@@ -79,8 +82,8 @@ TEST(Model, BatchRowsAreIndependent)
     auto b = someTokens(6, 16, 6);
     std::vector<int32_t> both = a;
     both.insert(both.end(), b.begin(), b.end());
-    Tensor l_both = model.forward(both, 2, 6);
-    Tensor l_a = model.forward(a, 1, 6);
+    Tensor l_both = model.forward(both, 2, 6, ForwardMode::Train);
+    Tensor l_a = model.forward(a, 1, 6, ForwardMode::Train);
     for (int64_t r = 0; r < 6; ++r)
         for (int64_t v = 0; v < 16; ++v)
             EXPECT_NEAR(l_both.at(r, v), l_a.at(r, v), 1e-4);
@@ -240,94 +243,225 @@ TEST(Model, ParameterCountMatchesConfigFormula)
     EXPECT_EQ(total, cfg.parameterCount());
 }
 
-/** Restores SNIP_ATTN=par (the default schedule) when a test ends. */
-struct AttnModeGuard
-{
-    AttnModeGuard() = default;
-    AttnModeGuard(const AttnModeGuard &) = delete;
-    AttnModeGuard &operator=(const AttnModeGuard &) = delete;
-    ~AttnModeGuard() { setAttnModeByName("par"); }
-};
+// ------------------------------------------------ reference schedule
+//
+// The per-(b,h) loop the batched attention core replaced, kept here as
+// its reference: per-head gathers, per-head GEMMs, the shared fused
+// softmax kernels. Each GEMM takes the path the batched call takes for
+// the whole batch — the packed entries when gemmBatchedPackEnabled()
+// says the batch packs, the ordinary entries otherwise — so the core
+// must match it bit for bit on both item paths.
 
-TEST(AttnMode, KnobControl)
+/** Copy the [seq, width] slice of head h of batch row b out. */
+void
+gatherHead(const float *src, float *dst, int64_t b, int64_t h, int64_t seq,
+           int64_t n_heads, int64_t width)
 {
-    AttnModeGuard guard;
-    EXPECT_TRUE(setAttnModeByName("serial"));
-    EXPECT_EQ(attnMode(), AttnMode::Serial);
-    EXPECT_TRUE(setAttnModeByName("par"));
-    EXPECT_EQ(attnMode(), AttnMode::Par);
-    EXPECT_FALSE(setAttnModeByName("banana"));
-    EXPECT_EQ(attnMode(), AttnMode::Par);
+    const int64_t cols = n_heads * width;
+    for (int64_t s = 0; s < seq; ++s)
+        for (int64_t c = 0; c < width; ++c)
+            dst[s * width + c] = src[(b * seq + s) * cols + h * width + c];
 }
 
-TEST(AttnMode, ParBitIdenticalToSerialAcrossThreadsAndPackModes)
+/** Write (or with @p add, accumulate) a [seq, width] buffer into the
+ *  slice of head h of batch row b. */
+void
+scatterHead(float *dst, const float *src, int64_t b, int64_t h,
+            int64_t seq, int64_t n_heads, int64_t width, bool add)
 {
-    // The batched schedule must reproduce the serial loop bit for bit
-    // whenever the per-item GEMMs take the same packed-or-not path —
-    // i.e. under both pinned pack modes — at every thread count. The
-    // GQA config exercises the shared-K/V groups and the per-kv-head
-    // dK/dV reduction.
-    AttnModeGuard mode_guard;
-    PackModeGuard pack_guard;
-    GlobalPoolGuard pool_guard;
-    ModelConfig cfg = microModel();
-    cfg.d_model = 16;
-    cfg.n_heads = 4;
-    cfg.n_kv_heads = 2;
-    auto tokens = someTokens(2 * 8, 16, 31);
-    auto targets = someTokens(2 * 8, 16, 32);
-
-    for (const char *pack : {"off", "on"}) {
-        SCOPED_TRACE(pack);
-        setGemmPackModeByName(pack);
-
-        setAttnModeByName("serial");
-        runtime::setGlobalThreadCount(1);
-        LlamaModel ref_model(cfg, 33);
-        ref_model.zeroGrad();
-        LossResult ref = ref_model.forwardLoss(tokens, targets, 2, 8);
-        ref_model.backward(ref.dlogits);
-        const Tensor ref_logits = ref_model.forward(tokens, 2, 8);
-        const Tensor ref_grad = ref_model.linear(1).grad(); // K, GQA
-
-        setAttnModeByName("par");
-        for (int threads : {1, 2, 8}) {
-            SCOPED_TRACE(threads);
-            runtime::setGlobalThreadCount(threads);
-            LlamaModel model(cfg, 33);
-            model.zeroGrad();
-            LossResult res = model.forwardLoss(tokens, targets, 2, 8);
-            model.backward(res.dlogits);
-            EXPECT_EQ(res.loss, ref.loss);
-            EXPECT_TRUE(model.linear(1).grad() == ref_grad);
-            EXPECT_TRUE(model.forward(tokens, 2, 8) == ref_logits);
+    const int64_t cols = n_heads * width;
+    for (int64_t s = 0; s < seq; ++s) {
+        for (int64_t c = 0; c < width; ++c) {
+            float &out = dst[(b * seq + s) * cols + h * width + c];
+            out = add ? out + src[s * width + c] : src[s * width + c];
         }
     }
 }
 
-TEST(AttnMode, ParDeterministicAcrossThreadsUnderAuto)
+/** One item GEMM of a @p count-item batch, on the batch's path. */
+struct ItemGemm
 {
-    // Under the default pack heuristic the batched path may pack where
-    // serial would not (low-order bits may differ between the modes),
-    // but within the par schedule the thread count must never change
-    // numerics.
-    AttnModeGuard mode_guard;
+    int64_t count;
+
+    void
+    nt(const float *a, const float *b, float *c, int64_t m, int64_t n,
+       int64_t k) const
+    {
+        if (gemmBatchedPackEnabled(count, m, n, k))
+            gemmPackedNT(a, m, k, nullptr, b, n, nullptr, nullptr, c);
+        else
+            gemmNT(a, b, c, m, n, k);
+    }
+    void
+    nn(const float *a, const float *b, float *c, int64_t m, int64_t n,
+       int64_t k) const
+    {
+        if (gemmBatchedPackEnabled(count, m, n, k))
+            gemmPackedNN(a, m, k, nullptr, b, n, nullptr, nullptr, c);
+        else
+            gemmNN(a, b, c, m, n, k);
+    }
+    void
+    tn(const float *a, const float *b, float *c, int64_t m, int64_t n,
+       int64_t k) const
+    {
+        if (gemmBatchedPackEnabled(count, m, n, k))
+            gemmPackedTN(a, m, k, nullptr, b, n, nullptr, c);
+        else
+            gemmTN(a, b, c, m, n, k);
+    }
+};
+
+void
+forwardReference(const AttnShape &s, const float *q, const float *k,
+                 const float *v, float *probs, float *ctx)
+{
+    const int64_t seq = s.seq, hd = s.head_dim;
+    const int64_t group = s.n_heads / s.n_kv_heads;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    const simd::KernelTable &kt = simd::activeKernels();
+    const ItemGemm g{s.batch * s.n_heads};
+    std::vector<float> qb(seq * hd), kb(seq * hd), vb(seq * hd),
+        cb(seq * hd);
+    for (int64_t b = 0; b < s.batch; ++b) {
+        for (int64_t h = 0; h < s.n_heads; ++h) {
+            gatherHead(q, qb.data(), b, h, seq, s.n_heads, hd);
+            gatherHead(k, kb.data(), b, h / group, seq, s.n_kv_heads, hd);
+            gatherHead(v, vb.data(), b, h / group, seq, s.n_kv_heads, hd);
+            float *prob = probs + (b * s.n_heads + h) * seq * seq;
+            g.nt(qb.data(), kb.data(), prob, seq, seq, hd);
+            kt.attnSoftmaxFwd(prob, seq, scale);
+            g.nn(prob, vb.data(), cb.data(), seq, hd, seq);
+            scatterHead(ctx, cb.data(), b, h, seq, s.n_heads, hd,
+                        /*add=*/false);
+        }
+    }
+}
+
+void
+backwardReference(const AttnShape &s, const float *q, const float *k,
+                  const float *v, const float *probs, const float *dctx,
+                  float *dq, float *dk, float *dv)
+{
+    const int64_t seq = s.seq, hd = s.head_dim;
+    const int64_t group = s.n_heads / s.n_kv_heads;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    const simd::KernelTable &kt = simd::activeKernels();
+    const ItemGemm g{s.batch * s.n_heads};
+    std::vector<float> qb(seq * hd), kb(seq * hd), vb(seq * hd),
+        dcb(seq * hd), dqb(seq * hd), dkb(seq * hd), dvb(seq * hd),
+        dp(seq * seq), ds(seq * seq);
+    for (int64_t b = 0; b < s.batch; ++b) {
+        for (int64_t h = 0; h < s.n_heads; ++h) {
+            const int64_t kvh = h / group;
+            gatherHead(q, qb.data(), b, h, seq, s.n_heads, hd);
+            gatherHead(k, kb.data(), b, kvh, seq, s.n_kv_heads, hd);
+            gatherHead(v, vb.data(), b, kvh, seq, s.n_kv_heads, hd);
+            gatherHead(dctx, dcb.data(), b, h, seq, s.n_heads, hd);
+            const float *prob = probs + (b * s.n_heads + h) * seq * seq;
+            // dV = P^T dCtx ; dP = dCtx V^T.
+            g.tn(prob, dcb.data(), dvb.data(), seq, hd, seq);
+            g.nt(dcb.data(), vb.data(), dp.data(), seq, seq, hd);
+            kt.attnSoftmaxBwd(prob, dp.data(), ds.data(), seq, scale);
+            // dQ = dS K ; dK = dS^T Q.
+            g.nn(ds.data(), kb.data(), dqb.data(), seq, hd, seq);
+            g.tn(ds.data(), qb.data(), dkb.data(), seq, hd, seq);
+            scatterHead(dq, dqb.data(), b, h, seq, s.n_heads, hd, true);
+            scatterHead(dk, dkb.data(), b, kvh, seq, s.n_kv_heads, hd,
+                        true);
+            scatterHead(dv, dvb.data(), b, kvh, seq, s.n_kv_heads, hd,
+                        true);
+        }
+    }
+}
+
+TEST(AttentionCore, BitIdenticalToReferenceOnBothItemPaths)
+{
+    // GQA shapes (shared K/V groups, per-kv-head dK/dV reduction): a
+    // batch too small to pack, and one that packs although each item
+    // alone would not (gemmPackEnabled rejects k < 32).
+    GlobalPoolGuard pool_guard;
+    for (const AttnShape s : {AttnShape{2, 8, 4, 2, 4},
+                              AttnShape{2, 32, 8, 2, 16}}) {
+        const int64_t count = s.batch * s.n_heads;
+        const bool packs = gemmBatchedPackEnabled(count, s.seq, s.seq,
+                                                  s.head_dim);
+        SCOPED_TRACE(packs ? "packed items" : "unpacked items");
+        EXPECT_EQ(packs, s.seq == 32);
+        EXPECT_FALSE(gemmPackEnabled(s.seq, s.seq, s.head_dim));
+
+        const int64_t rows = s.batch * s.seq;
+        Rng rng(51);
+        const Tensor q = Tensor::randn({rows, s.n_heads * s.head_dim}, rng);
+        const Tensor k =
+            Tensor::randn({rows, s.n_kv_heads * s.head_dim}, rng);
+        const Tensor v =
+            Tensor::randn({rows, s.n_kv_heads * s.head_dim}, rng);
+        const Tensor dctx =
+            Tensor::randn({rows, s.n_heads * s.head_dim}, rng);
+
+        runtime::setGlobalThreadCount(1);
+        Tensor ref_probs(count * s.seq, s.seq), ref_ctx(q.size(0), q.size(1));
+        forwardReference(s, q.data(), k.data(), v.data(),
+                         ref_probs.data(), ref_ctx.data());
+        Tensor ref_dq(q.size(0), q.size(1)), ref_dk(k.size(0), k.size(1)),
+            ref_dv(v.size(0), v.size(1));
+        backwardReference(s, q.data(), k.data(), v.data(),
+                          ref_probs.data(), dctx.data(), ref_dq.data(),
+                          ref_dk.data(), ref_dv.data());
+
+        for (int threads : {1, 2, 8}) {
+            SCOPED_TRACE(threads);
+            runtime::setGlobalThreadCount(threads);
+            Tensor probs(count * s.seq, s.seq), ctx(q.size(0), q.size(1));
+            attentionForwardCore(s, q.data(), k.data(), v.data(),
+                                 probs.data(), ctx.data());
+            EXPECT_TRUE(probs == ref_probs);
+            EXPECT_TRUE(ctx == ref_ctx);
+            Tensor dq(q.size(0), q.size(1)), dk(k.size(0), k.size(1)),
+                dv(v.size(0), v.size(1));
+            attentionBackwardCore(s, q.data(), k.data(), v.data(),
+                                  probs.data(), dctx.data(), dq.data(),
+                                  dk.data(), dv.data());
+            EXPECT_TRUE(dq == ref_dq);
+            EXPECT_TRUE(dk == ref_dk);
+            EXPECT_TRUE(dv == ref_dv);
+        }
+    }
+}
+
+TEST(Attention, ModelDeterministicAcrossThreads)
+{
+    // Loss, a GQA-affected gradient and logits: the thread count must
+    // never change numerics.
     GlobalPoolGuard pool_guard;
     ModelConfig cfg = microModel();
     cfg.n_heads = 4;
     cfg.n_kv_heads = 2;
     cfg.d_model = 16;
     auto tokens = someTokens(2 * 8, 16, 41);
+    auto targets = someTokens(2 * 8, 16, 42);
 
-    setAttnModeByName("par");
+    auto run = [&](LossResult *res, Tensor *grad) {
+        LlamaModel m(cfg, 43);
+        m.zeroGrad();
+        *res = m.forwardLoss(tokens, targets, 2, 8);
+        m.backward(res->dlogits);
+        *grad = m.linear(1).grad(); // K, GQA
+        return m.forward(tokens, 2, 8, ForwardMode::Train);
+    };
     runtime::setGlobalThreadCount(1);
-    LlamaModel m1(cfg, 42);
-    const Tensor l1 = m1.forward(tokens, 2, 8);
+    LossResult ref;
+    Tensor ref_grad;
+    const Tensor ref_logits = run(&ref, &ref_grad);
     for (int threads : {2, 8}) {
+        SCOPED_TRACE(threads);
         runtime::setGlobalThreadCount(threads);
-        LlamaModel m(cfg, 42);
-        EXPECT_TRUE(m.forward(tokens, 2, 8) == l1)
-            << threads << " threads";
+        LossResult res;
+        Tensor grad;
+        EXPECT_TRUE(run(&res, &grad) == ref_logits);
+        EXPECT_EQ(res.loss, ref.loss);
+        EXPECT_TRUE(grad == ref_grad);
     }
 }
 
@@ -340,7 +474,7 @@ TEST(Attention, SavedStateReleasedAfterBackward)
     Tensor x = Tensor::randn({8, cfg.d_model}, rng);
 
     EXPECT_EQ(attn.savedStateBytes(), 0);
-    Tensor y1 = attn.forward(x, 1, 8);
+    Tensor y1 = attn.forward(x, 1, 8, ForwardMode::Train);
     EXPECT_GT(attn.savedStateBytes(), 0);
     Tensor dy = Tensor::randn({8, cfg.d_model}, rng);
     attn.backward(dy);
@@ -349,7 +483,7 @@ TEST(Attention, SavedStateReleasedAfterBackward)
 
     // Forward-after-backward starts a fresh episode with identical
     // results, and a second backward works against the new state.
-    Tensor y2 = attn.forward(x, 1, 8);
+    Tensor y2 = attn.forward(x, 1, 8, ForwardMode::Train);
     EXPECT_TRUE(y1 == y2);
     EXPECT_GT(attn.savedStateBytes(), 0);
     attn.backward(dy);

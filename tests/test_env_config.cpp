@@ -1,8 +1,8 @@
 /**
  * @file
  * EnvConfig tests: per-knob capture and parsing must match the
- * historical per-subsystem getenv behavior exactly, and the dump must
- * name every knob.
+ * historical per-subsystem getenv behavior exactly, the dump must
+ * name every knob, and an unknown SNIP_* variable must warn once.
  */
 #include <gtest/gtest.h>
 
@@ -97,21 +97,64 @@ TEST(EnvConfig, KvPageParsesAndClamps)
 
 TEST(EnvConfig, StringKnobsCaptureRawText)
 {
-    EnvVarGuard attn("SNIP_ATTN");
-    attn.set("serial");
-    EXPECT_TRUE(runtime::envConfig().attn().set);
-    EXPECT_EQ(runtime::envConfig().attn().value, "serial");
-    attn.unset();
-    EXPECT_FALSE(runtime::envConfig().attn().set);
-    EXPECT_EQ(runtime::envConfig().attn().cstrOrNull(), nullptr);
-
     EnvVarGuard simd("SNIP_SIMD");
     simd.set("scalar");
+    EXPECT_TRUE(runtime::envConfig().simd().set);
     EXPECT_EQ(runtime::envConfig().simd().value, "scalar");
+    simd.unset();
+    EXPECT_FALSE(runtime::envConfig().simd().set);
+    EXPECT_EQ(runtime::envConfig().simd().cstrOrNull(), nullptr);
 
-    EnvVarGuard pack("SNIP_GEMM_PACK");
-    pack.set("off");
-    EXPECT_EQ(runtime::envConfig().gemmPack().value, "off");
+    EnvVarGuard kv("SNIP_KV_CACHE");
+    kv.set("fp32");
+    EXPECT_EQ(runtime::envConfig().kvCache().value, "fp32");
+}
+
+const char *const kKnobNames[] = {
+    "SNIP_THREADS", "SNIP_SIMD",    "SNIP_TELEMETRY", "SNIP_TRACE",
+    "SNIP_KV_CACHE", "SNIP_KV_PAGE", "SNIP_FAULT",
+};
+
+TEST(EnvConfig, UnknownSnipVariableWarnsOnce)
+{
+    auto unknown = [] { return runtime::envConfig().unknownKnobs(); };
+    auto listed = [&](const std::string &name) {
+        for (const std::string &u : unknown())
+            if (u == name)
+                return true;
+        return false;
+    };
+    EnvVarGuard guard("SNIP_NOT_A_KNOB");
+    testing::internal::CaptureStderr();
+    guard.set("off");
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown environment variable SNIP_NOT_A_KNOB"),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(listed("SNIP_NOT_A_KNOB"));
+    EXPECT_NE(runtime::envConfig().dump().find("SNIP_NOT_A_KNOB"),
+              std::string::npos);
+
+    // Once per process: a re-capture lists it but stays quiet.
+    testing::internal::CaptureStderr();
+    guard.set("on");
+    err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.find("SNIP_NOT_A_KNOB"), std::string::npos) << err;
+    EXPECT_TRUE(listed("SNIP_NOT_A_KNOB"));
+
+    // Knobs are never reported as unknown, nor warned about.
+    for (const char *knob : kKnobNames) {
+        EnvVarGuard k(knob);
+        testing::internal::CaptureStderr();
+        k.set("1");
+        err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err.find("unknown environment variable"),
+                  std::string::npos)
+            << knob << ": " << err;
+        EXPECT_FALSE(listed(knob)) << knob;
+    }
+    guard.unset();
+    EXPECT_FALSE(listed("SNIP_NOT_A_KNOB"));
 }
 
 TEST(EnvConfig, TraceKnobCapturesRawText)
@@ -146,10 +189,7 @@ TEST(EnvConfig, KvCacheModeFollowsEnv)
 TEST(EnvConfig, DumpNamesEveryKnob)
 {
     const std::string d = runtime::envConfig().dump();
-    for (const char *knob :
-         {"SNIP_THREADS", "SNIP_SIMD", "SNIP_GEMM_PACK", "SNIP_ATTN",
-          "SNIP_TELEMETRY", "SNIP_TRACE", "SNIP_KV_CACHE",
-          "SNIP_KV_PAGE"})
+    for (const char *knob : kKnobNames)
         EXPECT_NE(d.find(knob), std::string::npos) << knob;
 }
 

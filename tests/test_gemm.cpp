@@ -152,29 +152,49 @@ TEST(Gemm, ZeroSizedInnerDim)
 
 // ------------------------------------------------------- packed path
 
-TEST(GemmPack, ModeControl)
+TEST(GemmPack, PathIsAPureFunctionOfShape)
 {
-    PackModeGuard guard;
-    EXPECT_TRUE(setGemmPackModeByName("off"));
-    EXPECT_FALSE(gemmPackEnabled(4096, 4096, 4096));
-    EXPECT_TRUE(setGemmPackModeByName("on"));
-    EXPECT_TRUE(gemmPackEnabled(1, 1, 1));
-    EXPECT_TRUE(setGemmPackModeByName("auto"));
-    EXPECT_FALSE(gemmPackEnabled(8, 8, 8)); // below the Auto threshold
+    EXPECT_FALSE(gemmPackEnabled(8, 8, 8)); // below the pack threshold
     EXPECT_TRUE(gemmPackEnabled(512, 512, 512));
-    EXPECT_FALSE(setGemmPackModeByName("banana"));
+    EXPECT_TRUE(gemmPackEnabled(64, 64, 64)); // exactly 2^18
+    EXPECT_FALSE(gemmPackEnabled(64, 64, 63));
+    // Decode rows (m <= 3) and thin inner dims (k < 32) never pack.
+    EXPECT_FALSE(gemmPackEnabled(3, 4096, 4096));
+    EXPECT_FALSE(gemmPackEnabled(4096, 4096, 31));
+    EXPECT_FALSE(gemmPackEnabled(4096, 15, 4096));
 }
 
 /** Ragged shapes straddling every block/strip edge (64-row M-blocks,
- *  6-row A strips, 16-column B strips). */
+ *  6-row A strips, 16-column B strips); the first two and the last two
+ *  pack under the shape heuristic, (6,16,32) and (13,17,40) do not. */
 class GemmPackShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>>
 {
 };
 
-TEST_P(GemmPackShapes, PackedMatchesUnpackedAllVariants)
+/** The three packed entries (always packing) on one shape's operands. */
+struct PackedTriple
 {
-    PackModeGuard guard;
+    Tensor nt, nn, tn;
+};
+
+PackedTriple
+packedAll(const Tensor &a_nt, const Tensor &b_nt, const Tensor &a_nn,
+          const Tensor &b_nn, const Tensor &a_tn, const Tensor &b_tn)
+{
+    const int64_t m = a_nt.size(0), n = b_nt.size(0), k = a_nt.size(1);
+    PackedTriple r{Tensor(m, n), Tensor(m, n), Tensor(m, n)};
+    gemmPackedNT(a_nt.data(), m, k, nullptr, b_nt.data(), n, nullptr,
+                 nullptr, r.nt.data());
+    gemmPackedNN(a_nn.data(), m, k, nullptr, b_nn.data(), n, nullptr,
+                 nullptr, r.nn.data());
+    gemmPackedTN(a_tn.data(), m, k, nullptr, b_tn.data(), n, nullptr,
+                 r.tn.data());
+    return r;
+}
+
+TEST_P(GemmPackShapes, PackedMatchesShapeSelectedAndReference)
+{
     auto [m, n, k] = GetParam();
     Rng rng(7);
     Tensor a_nt = Tensor::randn({m, k}, rng);
@@ -184,26 +204,33 @@ TEST_P(GemmPackShapes, PackedMatchesUnpackedAllVariants)
     Tensor a_tn = Tensor::randn({k, m}, rng);
     Tensor b_tn = Tensor::randn({k, n}, rng);
 
-    setGemmPackModeByName("off");
-    const Tensor nt_u = matmulNT(a_nt, b_nt);
-    const Tensor nn_u = matmulNN(a_nn, b_nn);
-    const Tensor tn_u = matmulTN(a_tn, b_tn);
-    setGemmPackModeByName("on");
-    const Tensor nt_p = matmulNT(a_nt, b_nt);
-    const Tensor nn_p = matmulNN(a_nn, b_nn);
-    const Tensor tn_p = matmulTN(a_tn, b_tn);
-
-    // Packed and unpacked may differ in low-order bits only.
-    EXPECT_LT(diffNorm(nt_p, nt_u), 1e-5 * (1.0 + frobeniusNorm(nt_u)));
-    EXPECT_LT(diffNorm(nn_p, nn_u), 1e-5 * (1.0 + frobeniusNorm(nn_u)));
-    EXPECT_LT(diffNorm(tn_p, tn_u), 1e-5 * (1.0 + frobeniusNorm(tn_u)));
+    // Pin which path each listed shape takes, so both stay covered.
+    EXPECT_EQ(gemmPackEnabled(m, n, k), m != 6 && m != 13);
+    const PackedTriple p =
+        packedAll(a_nt, b_nt, a_nn, b_nn, a_tn, b_tn);
+    const Tensor nt_s = matmulNT(a_nt, b_nt);
+    const Tensor nn_s = matmulNN(a_nn, b_nn);
+    const Tensor tn_s = matmulTN(a_tn, b_tn);
+    if (gemmPackEnabled(m, n, k)) {
+        // The shape selects the packed path: the very same kernels.
+        EXPECT_TRUE(p.nt == nt_s);
+        EXPECT_TRUE(p.nn == nn_s);
+        EXPECT_TRUE(p.tn == tn_s);
+    } else {
+        // Packed and unpacked may differ in low-order bits only.
+        EXPECT_LT(diffNorm(p.nt, nt_s), 1e-5 * (1.0 + frobeniusNorm(nt_s)));
+        EXPECT_LT(diffNorm(p.nn, nn_s), 1e-5 * (1.0 + frobeniusNorm(nn_s)));
+        EXPECT_LT(diffNorm(p.tn, tn_s), 1e-5 * (1.0 + frobeniusNorm(tn_s)));
+    }
+    const Tensor r = refNT(a_nt, b_nt);
+    EXPECT_LT(diffNorm(p.nt, r), 1e-5 * (1.0 + frobeniusNorm(r)));
 }
 
-TEST_P(GemmPackShapes, PackedBitIdenticalAcrossThreadCounts)
+TEST_P(GemmPackShapes, BothPathsBitIdenticalAcrossThreadCounts)
 {
-    PackModeGuard guard;
+    // The packed entries always pack; the matmul entries take the
+    // shape-selected path (unpacked for the two small shapes).
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     auto [m, n, k] = GetParam();
     Rng rng(8);
     Tensor a_nt = Tensor::randn({m, k}, rng);
@@ -214,14 +241,22 @@ TEST_P(GemmPackShapes, PackedBitIdenticalAcrossThreadCounts)
     Tensor b_tn = Tensor::randn({k, n}, rng);
 
     runtime::setGlobalThreadCount(1);
+    const PackedTriple p1 =
+        packedAll(a_nt, b_nt, a_nn, b_nn, a_tn, b_tn);
     const Tensor nt1 = matmulNT(a_nt, b_nt);
     const Tensor nn1 = matmulNN(a_nn, b_nn);
     const Tensor tn1 = matmulTN(a_tn, b_tn);
     for (int threads : {2, 8}) {
+        SCOPED_TRACE(threads);
         runtime::setGlobalThreadCount(threads);
-        EXPECT_TRUE(matmulNT(a_nt, b_nt) == nt1) << threads << " threads";
-        EXPECT_TRUE(matmulNN(a_nn, b_nn) == nn1) << threads << " threads";
-        EXPECT_TRUE(matmulTN(a_tn, b_tn) == tn1) << threads << " threads";
+        const PackedTriple p =
+            packedAll(a_nt, b_nt, a_nn, b_nn, a_tn, b_tn);
+        EXPECT_TRUE(p.nt == p1.nt);
+        EXPECT_TRUE(p.nn == p1.nn);
+        EXPECT_TRUE(p.tn == p1.tn);
+        EXPECT_TRUE(matmulNT(a_nt, b_nt) == nt1);
+        EXPECT_TRUE(matmulNN(a_nn, b_nn) == nn1);
+        EXPECT_TRUE(matmulTN(a_tn, b_tn) == tn1);
     }
 }
 
@@ -236,14 +271,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GemmPack, PackedAccumulateAddsToExisting)
 {
-    PackModeGuard guard;
-    setGemmPackModeByName("on");
     Rng rng(45);
     Tensor a = Tensor::randn({19, 23}, rng);
     Tensor b = Tensor::randn({31, 23}, rng);
     Tensor c(19, 31);
     c.fill(1.0f);
-    gemmNT(a.data(), b.data(), c.data(), 19, 31, 23, /*accumulate=*/true);
+    gemmPackedNT(a.data(), 19, 23, nullptr, b.data(), 31, nullptr,
+                 nullptr, c.data(), /*accumulate=*/true);
     Tensor r = refNT(a, b);
     for (int64_t i = 0; i < c.numel(); ++i)
         EXPECT_NEAR(c.at(i), r.at(i) + 1.0f, 1e-4);
@@ -252,8 +286,10 @@ TEST(GemmPack, PackedAccumulateAddsToExisting)
 // ----------------------------------------------------- batched path
 
 /** Per-item reference for the batched entry points: the same GEMMs
- *  through the ordinary per-item entries (whose packed-or-not path is
- *  pinned by the active mode), with the TN group reduction done as
+ *  item by item, through the packed entries when the batch packs
+ *  (gemmBatchedPackEnabled) and the ordinary entries otherwise (which
+ *  then stay unpacked: a per-item shape that packs implies a batch
+ *  that packs), with the TN group reduction done as
  *  compute-into-scratch-then-add — the fixed order the batched driver
  *  guarantees. */
 void
@@ -262,19 +298,33 @@ refBatched(int variant, const float *a, int64_t a_stride, const float *b,
            int64_t m, int64_t n, int64_t k, int64_t group,
            bool accumulate)
 {
+    const bool packed = gemmBatchedPackEnabled(count, m, n, k);
     std::vector<float> tmp(static_cast<size_t>(m * n));
     for (int64_t i = 0; i < count; ++i) {
         const float *ai = a + i * a_stride;
         const float *bi = b + (variant == 2 ? i : i / group) * b_stride;
-        if (variant == 0)
-            gemmNT(ai, bi, c + i * c_stride, m, n, k, accumulate);
-        else if (variant == 1)
-            gemmNN(ai, bi, c + i * c_stride, m, n, k, accumulate);
-        else {
+        float *ci = c + i * c_stride;
+        if (variant == 0) {
+            if (packed)
+                gemmPackedNT(ai, m, k, nullptr, bi, n, nullptr, nullptr,
+                             ci, accumulate);
+            else
+                gemmNT(ai, bi, ci, m, n, k, accumulate);
+        } else if (variant == 1) {
+            if (packed)
+                gemmPackedNN(ai, m, k, nullptr, bi, n, nullptr, nullptr,
+                             ci, accumulate);
+            else
+                gemmNN(ai, bi, ci, m, n, k, accumulate);
+        } else {
             float *cg = c + (i / group) * c_stride;
             if (i % group == 0 && !accumulate)
                 std::fill_n(cg, m * n, 0.0f);
-            gemmTN(ai, bi, tmp.data(), m, n, k, /*accumulate=*/false);
+            if (packed)
+                gemmPackedTN(ai, m, k, nullptr, bi, n, nullptr,
+                             tmp.data());
+            else
+                gemmTN(ai, bi, tmp.data(), m, n, k);
             for (int64_t e = 0; e < m * n; ++e)
                 cg[e] += tmp[e];
         }
@@ -282,7 +332,8 @@ refBatched(int variant, const float *a, int64_t a_stride, const float *b,
 }
 
 /** (count, m, n, k, group) cases: strip-ragged shapes, shared-B
- *  groups, and a GQA-like group reduction. */
+ *  groups, and a GQA-like group reduction. The first three batches run
+ *  unpacked, the last two pack. */
 class GemmBatchedShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>>
 {
@@ -290,10 +341,9 @@ class GemmBatchedShapes
 
 TEST_P(GemmBatchedShapes, MatchesPerItemLoopBitExact)
 {
-    // Under a pinned pack mode the batched driver runs the same
-    // per-item kernels as a loop of ordinary calls, so results are
-    // bit-identical — packed and legacy alike.
-    PackModeGuard guard;
+    // The batched driver runs the same per-item kernels as a loop of
+    // per-item calls on the batch's path, so results are bit-identical
+    // — packed and unpacked alike.
     auto [count, m, n, k, group] = GetParam();
     Rng rng(77);
     const int64_t groups = count / group;
@@ -304,37 +354,30 @@ TEST_P(GemmBatchedShapes, MatchesPerItemLoopBitExact)
     Tensor a_tn = Tensor::randn({count * k, m}, rng);
     Tensor b_tn = Tensor::randn({count * k, n}, rng);
 
-    for (const char *mode : {"off", "on"}) {
-        SCOPED_TRACE(mode);
-        setGemmPackModeByName(mode);
+    Tensor c_ref(count * m, n), c_bat(count * m, n);
+    refBatched(0, a_nt.data(), m * k, b_nt.data(), n * k, c_ref.data(),
+               m * n, count, m, n, k, group, false);
+    gemmBatchedNT(a_nt.data(), m * k, b_nt.data(), n * k, c_bat.data(),
+                  m * n, count, m, n, k, group);
+    EXPECT_TRUE(c_ref == c_bat) << "NT";
 
-        Tensor c_ref(count * m, n), c_bat(count * m, n);
-        refBatched(0, a_nt.data(), m * k, b_nt.data(), n * k,
-                   c_ref.data(), m * n, count, m, n, k, group, false);
-        gemmBatchedNT(a_nt.data(), m * k, b_nt.data(), n * k,
-                      c_bat.data(), m * n, count, m, n, k, group);
-        EXPECT_TRUE(c_ref == c_bat) << "NT";
+    refBatched(1, a_nn.data(), m * k, b_nn.data(), k * n, c_ref.data(),
+               m * n, count, m, n, k, group, false);
+    gemmBatchedNN(a_nn.data(), m * k, b_nn.data(), k * n, c_bat.data(),
+                  m * n, count, m, n, k, group);
+    EXPECT_TRUE(c_ref == c_bat) << "NN";
 
-        refBatched(1, a_nn.data(), m * k, b_nn.data(), k * n,
-                   c_ref.data(), m * n, count, m, n, k, group, false);
-        gemmBatchedNN(a_nn.data(), m * k, b_nn.data(), k * n,
-                      c_bat.data(), m * n, count, m, n, k, group);
-        EXPECT_TRUE(c_ref == c_bat) << "NN";
-
-        Tensor g_ref(groups * m, n), g_bat(groups * m, n);
-        refBatched(2, a_tn.data(), k * m, b_tn.data(), k * n,
-                   g_ref.data(), m * n, count, m, n, k, group, false);
-        gemmBatchedTN(a_tn.data(), k * m, b_tn.data(), k * n,
-                      g_bat.data(), m * n, count, m, n, k, group);
-        EXPECT_TRUE(g_ref == g_bat) << "TN";
-    }
+    Tensor g_ref(groups * m, n), g_bat(groups * m, n);
+    refBatched(2, a_tn.data(), k * m, b_tn.data(), k * n, g_ref.data(),
+               m * n, count, m, n, k, group, false);
+    gemmBatchedTN(a_tn.data(), k * m, b_tn.data(), k * n, g_bat.data(),
+                  m * n, count, m, n, k, group);
+    EXPECT_TRUE(g_ref == g_bat) << "TN";
 }
 
 TEST_P(GemmBatchedShapes, BitIdenticalAcrossThreadCounts)
 {
-    PackModeGuard guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     auto [count, m, n, k, group] = GetParam();
     Rng rng(78);
     const int64_t groups = count / group;
@@ -369,61 +412,57 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(12, 64, 64, 16, 4),
                       std::make_tuple(16, 23, 40, 65, 8)));
 
-TEST(GemmBatched, AutoHeuristicUsesAggregateWork)
+TEST(GemmBatched, HeuristicUsesAggregateWork)
 {
-    PackModeGuard guard;
-    setGemmPackModeByName("auto");
     // One 32x32x16 GEMM is far below the per-item pack threshold, but
     // a 64-item batch of them clears the aggregate amortization unit.
     EXPECT_FALSE(gemmPackEnabled(32, 32, 16));
     EXPECT_TRUE(gemmBatchedPackEnabled(64, 32, 32, 16));
     EXPECT_FALSE(gemmBatchedPackEnabled(4, 32, 32, 16));
-    setGemmPackModeByName("off");
-    EXPECT_FALSE(gemmBatchedPackEnabled(64, 32, 32, 16));
-    setGemmPackModeByName("on");
-    EXPECT_TRUE(gemmBatchedPackEnabled(1, 1, 1, 1));
 }
 
-TEST(GemmBatched, AutoAgreesWithLegacyWithinTolerance)
+TEST(GemmBatched, PackedBatchAgreesWithUnpackedLoopWithinTolerance)
 {
     // When the aggregate heuristic flips a batch of small GEMMs onto
-    // the packed path, results may differ from the legacy loop only in
-    // low-order bits (the documented packed-vs-unpacked contract).
-    PackModeGuard guard;
+    // the packed path, results may differ from the per-item loop (each
+    // item unpacked: k < 32) only in low-order bits — the documented
+    // packed-vs-unpacked contract.
     const int64_t count = 64, m = 32, n = 32, k = 16;
     Rng rng(79);
     Tensor a = Tensor::randn({count * m, k}, rng);
     Tensor b = Tensor::randn({count * n, k}, rng);
-    setGemmPackModeByName("off");
     Tensor ref(count * m, n);
-    refBatched(0, a.data(), m * k, b.data(), n * k, ref.data(), m * n,
-               count, m, n, k, 1, false);
-    setGemmPackModeByName("auto");
+    for (int64_t i = 0; i < count; ++i)
+        gemmNT(a.data() + i * m * k, b.data() + i * n * k,
+               ref.data() + i * m * n, m, n, k);
     Tensor bat(count * m, n);
     gemmBatchedNT(a.data(), m * k, b.data(), n * k, bat.data(), m * n,
                   count, m, n, k);
     EXPECT_LT(diffNorm(bat, ref), 1e-5 * (1.0 + frobeniusNorm(ref)));
 }
 
-TEST(GemmBatched, AccumulateAddsToExisting)
+TEST(GemmBatched, AccumulateAddsToExistingOnBothPaths)
 {
-    PackModeGuard guard;
-    setGemmPackModeByName("on");
-    const int64_t count = 3, m = 7, n = 9, k = 11;
-    Rng rng(80);
-    Tensor a = Tensor::randn({count * m, k}, rng);
-    Tensor b = Tensor::randn({count * n, k}, rng);
-    Tensor c(count * m, n);
-    c.fill(1.0f);
-    gemmBatchedNT(a.data(), m * k, b.data(), n * k, c.data(), m * n,
-                  count, m, n, k, /*group=*/1, /*accumulate=*/true);
-    for (int64_t i = 0; i < count; ++i) {
-        Tensor ai(m, k), bi(n, k);
-        std::copy_n(a.data() + i * m * k, m * k, ai.data());
-        std::copy_n(b.data() + i * n * k, n * k, bi.data());
-        Tensor r = refNT(ai, bi);
-        for (int64_t e = 0; e < m * n; ++e)
-            EXPECT_NEAR(c.at(i * m * n + e), r.at(e) + 1.0f, 1e-4);
+    // (3, 7, 9, 11) runs unpacked, (64, 8, 16, 32) packs.
+    for (const auto &[count, m, n, k] :
+         {std::make_tuple(3, 7, 9, 11), std::make_tuple(64, 8, 16, 32)}) {
+        SCOPED_TRACE(count);
+        EXPECT_EQ(gemmBatchedPackEnabled(count, m, n, k), count == 64);
+        Rng rng(80);
+        Tensor a = Tensor::randn({count * m, k}, rng);
+        Tensor b = Tensor::randn({count * n, k}, rng);
+        Tensor c(count * m, n);
+        c.fill(1.0f);
+        gemmBatchedNT(a.data(), m * k, b.data(), n * k, c.data(), m * n,
+                      count, m, n, k, /*group=*/1, /*accumulate=*/true);
+        for (int64_t i = 0; i < count; ++i) {
+            Tensor ai(m, k), bi(n, k);
+            std::copy_n(a.data() + i * m * k, m * k, ai.data());
+            std::copy_n(b.data() + i * n * k, n * k, bi.data());
+            Tensor r = refNT(ai, bi);
+            for (int64_t e = 0; e < m * n; ++e)
+                EXPECT_NEAR(c.at(i * m * n + e), r.at(e) + 1.0f, 1e-4);
+        }
     }
 }
 
@@ -431,48 +470,49 @@ TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
 {
     // Quantize-on-pack must equal quantize-a-copy-then-pack bit for
     // bit (same scales, same grid snap), for every nearest-rounding
-    // precision and in all three variants.
-    PackModeGuard guard;
-    setGemmPackModeByName("on");
+    // precision and in all three variants — on a shape the heuristic
+    // packs and on a decode-sized one it leaves unpacked (the quant*
+    // entries pack whatever the shape).
     Rng rng(9);
     FakeQuantizer q(11);
-    const int64_t m = 70, n = 50, k = 130;
-    for (Precision p : {Precision::FP8, Precision::FP6, Precision::FP4}) {
-        QuantConfig act = rolePolicy(p, TensorRole::Activation);
-        QuantConfig wt = rolePolicy(p, TensorRole::Weight);
-        act.rounding = Rounding::Nearest; // FP4 grads aside, all are
-        SCOPED_TRACE(act.describe());
+    for (const auto &[m, n, k] : {std::make_tuple(70, 50, 130),
+                                  std::make_tuple(3, 20, 24)}) {
+        EXPECT_EQ(gemmPackEnabled(m, n, k), m == 70);
+        for (Precision p : {Precision::FP8, Precision::FP6, Precision::FP4}) {
+            QuantConfig act = rolePolicy(p, TensorRole::Activation);
+            QuantConfig wt = rolePolicy(p, TensorRole::Weight);
+            act.rounding = Rounding::Nearest; // FP4 grads aside, all are
+            SCOPED_TRACE(act.describe() + " m=" + std::to_string(m));
 
-        Tensor x = Tensor::randn({m, k}, rng);
-        Tensor w = Tensor::randn({n, k}, rng);
-        Tensor xm = q.quantize(x, act);
-        Tensor wm = q.quantize(w, wt);
-        Tensor fused = quantMatmulNT(x, &act, w, &wt, nullptr);
-        Tensor mat = quantMatmulNT(xm, nullptr, wm, nullptr, nullptr);
-        EXPECT_TRUE(fused == mat);
+            Tensor x = Tensor::randn({m, k}, rng);
+            Tensor w = Tensor::randn({n, k}, rng);
+            Tensor xm = q.quantize(x, act);
+            Tensor wm = q.quantize(w, wt);
+            Tensor fused = quantMatmulNT(x, &act, w, &wt, nullptr);
+            Tensor mat = quantMatmulNT(xm, nullptr, wm, nullptr, nullptr);
+            EXPECT_TRUE(fused == mat);
 
-        Tensor dy = Tensor::randn({m, n}, rng);
-        Tensor w2 = Tensor::randn({n, k}, rng);
-        QuantConfig og = rolePolicy(p, TensorRole::OutputGrad);
-        og.rounding = Rounding::Nearest;
-        Tensor dym = q.quantize(dy, og);
-        Tensor w2m = q.quantize(w2, wt);
-        Tensor f_nn = quantMatmulNN(dy, &og, w2, &wt, nullptr);
-        Tensor m_nn = quantMatmulNN(dym, nullptr, w2m, nullptr, nullptr);
-        EXPECT_TRUE(f_nn == m_nn);
+            Tensor dy = Tensor::randn({m, n}, rng);
+            Tensor w2 = Tensor::randn({n, k}, rng);
+            QuantConfig og = rolePolicy(p, TensorRole::OutputGrad);
+            og.rounding = Rounding::Nearest;
+            Tensor dym = q.quantize(dy, og);
+            Tensor w2m = q.quantize(w2, wt);
+            Tensor f_nn = quantMatmulNN(dy, &og, w2, &wt, nullptr);
+            Tensor m_nn = quantMatmulNN(dym, nullptr, w2m, nullptr, nullptr);
+            EXPECT_TRUE(f_nn == m_nn);
 
-        Tensor dw_f(n, k), dw_m(n, k);
-        quantGemmTN(dy, &og, x, &act, dw_f, /*accumulate=*/false);
-        quantGemmTN(dym, nullptr, xm, nullptr, dw_m,
-                    /*accumulate=*/false);
-        EXPECT_TRUE(dw_f == dw_m);
+            Tensor dw_f(n, k), dw_m(n, k);
+            quantGemmTN(dy, &og, x, &act, dw_f, /*accumulate=*/false);
+            quantGemmTN(dym, nullptr, xm, nullptr, dw_m,
+                        /*accumulate=*/false);
+            EXPECT_TRUE(dw_f == dw_m);
+        }
     }
 }
 
 TEST(GemmPack, WeightCacheHitsAndInvalidates)
 {
-    PackModeGuard guard;
-    setGemmPackModeByName("on");
     Rng rng(10);
     const int64_t m = 33, n = 40, k = 65;
     Tensor x = Tensor::randn({m, k}, rng);

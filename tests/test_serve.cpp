@@ -20,7 +20,6 @@
 #include "serve/engine.h"
 #include "serve/kv_cache.h"
 #include "serve/request_queue.h"
-#include "tensor/gemm.h"
 #include "testing_util.h"
 #include "train/presets.h"
 
@@ -252,14 +251,16 @@ fullSeqLastRow(LlamaModel &model, const std::vector<int32_t> &tokens)
 
 TEST(ServeDecode, Fp32CacheBitIdenticalToFullSequence)
 {
-    // Bitwise claims pin the packed-GEMM heuristic off: packed and
-    // unpacked GEMMs differ in low-order bits by contract, and decode
-    // rows match forward()'s legacy path.
-    PackModeGuard pack_guard;
-    ASSERT_TRUE(setGemmPackModeByName("off"));
+    // Decode rows equal the full forward's bit for bit whenever both
+    // passes' GEMM shapes select the same packed-or-not path (packed
+    // and unpacked GEMMs differ in low-order bits by contract). Every
+    // microModel GEMM has an inner dim below 32, so prefill, full
+    // forward and decode all take the unpacked kernels.
     GlobalPoolGuard pool_guard;
 
     ModelConfig cfg = microModel();
+    ASSERT_LT(cfg.d_model, 32);
+    ASSERT_LT(cfg.ffn_hidden, 32);
     LlamaModel model(cfg, 21);
     model.setScheme(PrecisionScheme::uniform(
         model.registry().numLinear(), Precision::FP8));
@@ -460,8 +461,6 @@ TEST(ServeEngine, ContinuousBatchingMatchesSequentialTokens)
 
 TEST(ServeDecode, WarmedDecodeStepPerformsZeroHeapAllocations)
 {
-    PackModeGuard pack_guard;
-    ASSERT_TRUE(setGemmPackModeByName("off"));
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1); // inline path: no pool Jobs
 

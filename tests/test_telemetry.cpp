@@ -189,8 +189,6 @@ TEST(Telemetry, FoldDeterminismAcrossThreadCounts)
 {
     TelemetryGuard telem_guard;
     GlobalPoolGuard pool_guard;
-    PackModeGuard mode_guard;
-    setGemmPackModeByName("auto");
     telemetry::Config cfg;
     cfg.enabled = true;
     telemetry::configure(cfg);
@@ -253,26 +251,37 @@ TEST(Telemetry, InstrumentedGemmKeepsZeroAllocContract)
 {
     TelemetryGuard telem_guard;
     GlobalPoolGuard pool_guard;
-    PackModeGuard mode_guard;
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(1);
     telemetry::Config cfg;
     cfg.enabled = true;
     telemetry::configure(cfg);
 
-    std::vector<float> a(64 * 32), b(48 * 32), c(64 * 48);
-    for (size_t i = 0; i < a.size(); ++i)
-        a[i] = static_cast<float>(i % 11) - 5.0f;
-    for (size_t i = 0; i < b.size(); ++i)
-        b[i] = static_cast<float>(i % 5) - 2.0f;
-    // Warm the arena slab and the telemetry shard.
-    gemmNT(a.data(), b.data(), c.data(), 64, 48, 32);
-    gemmNT(a.data(), b.data(), c.data(), 64, 48, 32);
-
-    const int64_t allocs = allocDelta([&] {
-        gemmNT(a.data(), b.data(), c.data(), 64, 48, 32);
-    });
-    EXPECT_EQ(allocs, 0);
+    // 64x64x64 packs; 64x48x32 (below 2^18 MACs) stays on the unpacked
+    // kernels. Each shape warms its own arena slab and the telemetry
+    // shard with the same call that is then measured.
+    struct Shape
+    {
+        int64_t m, n, k;
+        bool packs;
+    };
+    for (const Shape s :
+         {Shape{64, 64, 64, true}, Shape{64, 48, 32, false}}) {
+        SCOPED_TRACE(s.n);
+        EXPECT_EQ(gemmPackEnabled(s.m, s.n, s.k), s.packs);
+        std::vector<float> a(static_cast<size_t>(s.m * s.k));
+        std::vector<float> b(static_cast<size_t>(s.n * s.k));
+        std::vector<float> c(static_cast<size_t>(s.m * s.n));
+        for (size_t i = 0; i < a.size(); ++i)
+            a[i] = static_cast<float>(i % 11) - 5.0f;
+        for (size_t i = 0; i < b.size(); ++i)
+            b[i] = static_cast<float>(i % 5) - 2.0f;
+        auto run = [&] {
+            gemmNT(a.data(), b.data(), c.data(), s.m, s.n, s.k);
+        };
+        run();
+        run();
+        EXPECT_EQ(allocDelta(run), 0);
+    }
 }
 
 TEST(Telemetry, DisabledModeIsFree)

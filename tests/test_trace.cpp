@@ -22,7 +22,6 @@
 #include "runtime/thread_pool.h"
 #include "serve/kv_cache.h"
 #include "telemetry/trace.h"
-#include "tensor/gemm.h"
 #include "testing_util.h"
 #include "train/presets.h"
 #include "train/trainer.h"
@@ -293,8 +292,6 @@ TEST(Trace, WarmedHotPathAllocatesNothing)
 TEST(Trace, WarmedTracedDecodeStepPerformsZeroHeapAllocations)
 {
     TraceGuard trace_guard;
-    PackModeGuard pack_guard;
-    ASSERT_TRUE(setGemmPackModeByName("off"));
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1); // inline path: no pool Jobs
 

@@ -189,37 +189,38 @@ TEST(WorkspaceArena, SpillsCoalesceIntoOneSlab)
     EXPECT_EQ(arena.allocCount(), allocs_after_coalesce);
 }
 
-TEST(WorkspaceArena, SteadyStatePackedGemmAllocatesNothing)
+TEST(WorkspaceArena, SteadyStateGemmAllocatesNothingOnBothPaths)
 {
-    PackModeGuard mode_guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(1);
 
-    const int64_t m = 150, n = 130, k = 170;
-    Rng rng(3);
-    Tensor a = Tensor::randn({m, k}, rng);
-    Tensor b_nt = Tensor::randn({n, k}, rng);
-    Tensor b_nn = Tensor::randn({k, n}, rng);
-    Tensor a_tn = Tensor::randn({k, m}, rng);
-    std::vector<float> c(static_cast<size_t>(m * n));
+    // k = 170 packs; k = 20 (< 32) stays on the unpacked kernels.
+    for (const int64_t k : {170, 20}) {
+        SCOPED_TRACE(k);
+        const int64_t m = 150, n = 130;
+        EXPECT_EQ(gemmPackEnabled(m, n, k), k == 170);
+        Rng rng(3);
+        Tensor a = Tensor::randn({m, k}, rng);
+        Tensor b_nt = Tensor::randn({n, k}, rng);
+        Tensor b_nn = Tensor::randn({k, n}, rng);
+        Tensor a_tn = Tensor::randn({k, m}, rng);
+        std::vector<float> c(static_cast<size_t>(m * n));
 
-    auto run = [&] {
-        gemmNT(a.data(), b_nt.data(), c.data(), m, n, k);
-        gemmNN(a.data(), b_nn.data(), c.data(), m, n, k);
-        gemmTN(a_tn.data(), b_nn.data(), c.data(), m, n, k);
-    };
-    run();
-    run(); // warm: arenas sized, pool job recycled
-    EXPECT_EQ(allocDelta(run), 0)
-        << "steady-state packed GEMMs must not touch the heap";
+        auto run = [&] {
+            gemmNT(a.data(), b_nt.data(), c.data(), m, n, k);
+            gemmNN(a.data(), b_nn.data(), c.data(), m, n, k);
+            gemmTN(a_tn.data(), b_nn.data(), c.data(), m, n, k);
+        };
+        run();
+        run(); // warm: arenas sized, pool job recycled
+        EXPECT_EQ(allocDelta(run), 0)
+            << "steady-state GEMMs must not touch the heap";
+    }
 }
 
 TEST(WorkspaceArena, SteadyStateFusedQuantGemmAllocatesNothing)
 {
-    PackModeGuard mode_guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(1);
 
     const int64_t m = 96, n = 80, k = 140;
@@ -256,61 +257,55 @@ TEST(WorkspaceArena, SteadyStateAttentionStepAllocatesNothing)
 {
     // The attention runtime's zero-alloc contract: a warmed-up
     // forward + backward of the attention core — gathers, strided-
-    // batch GEMMs (packed and legacy), fused softmax, scatters —
-    // touches the heap exactly zero times, in BOTH schedules. All
-    // scratch (the former qb/kb/vb/cb/dp/ds vectors and the batched
-    // slabs) lives in workspace arenas.
-    PackModeGuard mode_guard;
+    // batch GEMMs, fused softmax, scatters — touches the heap exactly
+    // zero times, whether the batch's per-head GEMMs run unpacked (4
+    // heads) or packed (8 heads). All scratch lives in workspace
+    // arenas.
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1);
 
-    const AttnShape s{/*batch=*/2, /*seq=*/32, /*n_heads=*/4,
-                      /*n_kv_heads=*/2, /*head_dim=*/16};
-    Rng rng(6);
-    Tensor q = Tensor::randn({s.batch * s.seq, s.n_heads * s.head_dim},
-                             rng);
-    Tensor k = Tensor::randn(
-        {s.batch * s.seq, s.n_kv_heads * s.head_dim}, rng);
-    Tensor v = Tensor::randn(
-        {s.batch * s.seq, s.n_kv_heads * s.head_dim}, rng);
-    Tensor dctx = Tensor::randn(
-        {s.batch * s.seq, s.n_heads * s.head_dim}, rng);
-    Tensor probs(s.batch * s.n_heads * s.seq, s.seq);
-    Tensor ctx(s.batch * s.seq, s.n_heads * s.head_dim);
-    Tensor dq(s.batch * s.seq, s.n_heads * s.head_dim);
-    Tensor dk(s.batch * s.seq, s.n_kv_heads * s.head_dim);
-    Tensor dv(s.batch * s.seq, s.n_kv_heads * s.head_dim);
+    for (const int64_t heads : {4, 8}) {
+        SCOPED_TRACE(heads);
+        const AttnShape s{/*batch=*/2, /*seq=*/32, /*n_heads=*/heads,
+                          /*n_kv_heads=*/2, /*head_dim=*/16};
+        EXPECT_EQ(gemmBatchedPackEnabled(s.batch * heads, s.seq, s.seq,
+                                         s.head_dim),
+                  heads == 8);
+        Rng rng(6);
+        Tensor q = Tensor::randn(
+            {s.batch * s.seq, s.n_heads * s.head_dim}, rng);
+        Tensor k = Tensor::randn(
+            {s.batch * s.seq, s.n_kv_heads * s.head_dim}, rng);
+        Tensor v = Tensor::randn(
+            {s.batch * s.seq, s.n_kv_heads * s.head_dim}, rng);
+        Tensor dctx = Tensor::randn(
+            {s.batch * s.seq, s.n_heads * s.head_dim}, rng);
+        Tensor probs(s.batch * s.n_heads * s.seq, s.seq);
+        Tensor ctx(s.batch * s.seq, s.n_heads * s.head_dim);
+        Tensor dq(s.batch * s.seq, s.n_heads * s.head_dim);
+        Tensor dk(s.batch * s.seq, s.n_kv_heads * s.head_dim);
+        Tensor dv(s.batch * s.seq, s.n_kv_heads * s.head_dim);
 
-    auto step = [&] {
-        attentionForwardCore(s, q.data(), k.data(), v.data(),
-                             probs.data(), ctx.data());
-        dq.zero();
-        dk.zero();
-        dv.zero();
-        attentionBackwardCore(s, q.data(), k.data(), v.data(),
-                              probs.data(), dctx.data(), dq.data(),
-                              dk.data(), dv.data());
-    };
-    for (const char *attn : {"par", "serial"}) {
-        SCOPED_TRACE(attn);
-        ASSERT_TRUE(setAttnModeByName(attn));
-        for (const char *pack : {"on", "off"}) {
-            SCOPED_TRACE(pack);
-            setGemmPackModeByName(pack);
-            step();
-            step(); // warm: arenas sized for this (mode, pack) episode
-            EXPECT_EQ(allocDelta(step), 0)
-                << "steady-state attention step must not touch the heap";
-        }
+        auto step = [&] {
+            attentionForwardCore(s, q.data(), k.data(), v.data(),
+                                 probs.data(), ctx.data());
+            dq.zero();
+            dk.zero();
+            dv.zero();
+            attentionBackwardCore(s, q.data(), k.data(), v.data(),
+                                  probs.data(), dctx.data(), dq.data(),
+                                  dk.data(), dv.data());
+        };
+        step();
+        step(); // warm: arenas sized for this shape
+        EXPECT_EQ(allocDelta(step), 0)
+            << "steady-state attention step must not touch the heap";
     }
-    setAttnModeByName("par");
 }
 
 TEST(WorkspaceArena, ThreadedSteadyStateStaysRecycled)
 {
-    PackModeGuard mode_guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(4);
 
     const int64_t m = 200, n = 120, k = 160;

@@ -7,7 +7,6 @@
 #define SNIP_TESTS_TESTING_UTIL_H
 
 #include "runtime/thread_pool.h"
-#include "tensor/gemm.h"
 
 namespace snip {
 
@@ -19,16 +18,6 @@ struct GlobalPoolGuard
     GlobalPoolGuard(const GlobalPoolGuard &) = delete;
     GlobalPoolGuard &operator=(const GlobalPoolGuard &) = delete;
     ~GlobalPoolGuard() { runtime::setGlobalThreadCount(0); }
-};
-
-/** Restores SNIP_GEMM_PACK=auto semantics when a pack-mode-sweeping
- *  test ends. */
-struct PackModeGuard
-{
-    PackModeGuard() = default;
-    PackModeGuard(const PackModeGuard &) = delete;
-    PackModeGuard &operator=(const PackModeGuard &) = delete;
-    ~PackModeGuard() { setGemmPackModeByName("auto"); }
 };
 
 } // namespace snip
