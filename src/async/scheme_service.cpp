@@ -14,9 +14,8 @@ namespace snip {
 SchemeUpdateResult
 runSchemeUpdate(const SchemeUpdateRequest &request)
 {
-    trace::TraceScope span(trace::Category::Scheme, "scheme_solve",
-                           "epoch",
-                           static_cast<int64_t>(request.epoch));
+    telemetry::Scope span(telemetry::Timer::SchemeSolve, "scheme_solve",
+                          "epoch", static_cast<int64_t>(request.epoch));
     const auto start = std::chrono::steady_clock::now();
 
     if (SNIP_FAULT_POINT("scheme.solve"))

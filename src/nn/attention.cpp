@@ -8,7 +8,6 @@
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 #include "tensor/gemm.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -364,10 +363,8 @@ attentionForwardCore(const AttnShape &s, const float *q, const float *k,
                      const float *v, float *probs, float *ctx)
 {
     validateShape(s);
-    telemetry::ScopedTimer timer(telemetry::Timer::AttnFwd);
-    telemetry::count(telemetry::Counter::AttnFwdCalls);
-    trace::TraceScope span(trace::Category::Attn, "attn_fwd", "batch",
-                           s.batch, "heads", s.n_heads);
+    telemetry::Scope span(telemetry::Timer::AttnFwd, "attn_fwd", "batch",
+                          s.batch, "heads", s.n_heads);
     forwardPar(s, q, k, v, probs, ctx);
 }
 
@@ -377,10 +374,8 @@ attentionBackwardCore(const AttnShape &s, const float *q, const float *k,
                       const float *dctx, float *dq, float *dk, float *dv)
 {
     validateShape(s);
-    telemetry::ScopedTimer timer(telemetry::Timer::AttnBwd);
-    telemetry::count(telemetry::Counter::AttnBwdCalls);
-    trace::TraceScope span(trace::Category::Attn, "attn_bwd", "batch",
-                           s.batch, "heads", s.n_heads);
+    telemetry::Scope span(telemetry::Timer::AttnBwd, "attn_bwd", "batch",
+                          s.batch, "heads", s.n_heads);
     backwardPar(s, q, k, v, probs, dctx, dq, dk, dv);
 }
 

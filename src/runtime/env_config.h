@@ -14,8 +14,11 @@
  * Knobs:
  *   SNIP_THREADS    worker count for the global pool (>=1, capped 512)
  *   SNIP_SIMD       kernel backend: auto|avx2|scalar
- *   SNIP_TELEMETRY  telemetry sink: off|on|json:<path>
- *   SNIP_TRACE      span-trace sink: off|on|json:<path>
+ *   SNIP_TELEMETRY  instrumentation telemetry sink: off|on|json:<path>
+ *   SNIP_TRACE      instrumentation span-trace sink: off|on|json:<path>
+ *                   (both resolve, once, into the one mode word of
+ *                   telemetry/telemetry.h; setting one never changes
+ *                   the other)
  *   SNIP_KV_CACHE   serving KV-cache storage: fp8|fp32
  *   SNIP_KV_PAGE    serving KV-cache page size in tokens (1..4096)
  *   SNIP_FAULT      fault-injection schedule:
@@ -24,7 +27,7 @@
  *
  * Only the knobs whose grammar is owned here (threads, KV page size)
  * are parsed eagerly; the string-valued specs are handed to their
- * owning modules (simd::, trace::, ...) untouched so the parse
+ * owning modules (simd::, telemetry::, ...) untouched so the parse
  * warnings keep firing from the subsystem that understands them.
  *
  * Any other set SNIP_* variable draws one warning per process (a

@@ -6,7 +6,6 @@
 
 #include "runtime/env_config.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -162,24 +161,18 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
     const int64_t n = end - begin;
     const int64_t n_chunks = (n + grain - 1) / grain;
 
-    // Sampled span (1 in 16 per submitter): B*H fan-outs issue
-    // thousands of jobs per step and would flood the flight recorder.
+    // Every job is timed; only 1 in 16 per submitter becomes a span:
+    // B*H fan-outs issue thousands of jobs per step and would flood
+    // the flight recorder.
     static thread_local uint32_t t_trace_tick = 0;
-    const bool traced =
-        trace::enabled() && ((++t_trace_tick & 15u) == 0);
-    trace::TraceScope trace_span(traced, trace::Category::Pool,
-                                 "parallel_for", "n", n, "chunks",
-                                 n_chunks);
+    telemetry::Scope span(telemetry::Timer::PoolJob, "parallel_for", "n",
+                          n, "chunks", n_chunks,
+                          /*trace_armed=*/(++t_trace_tick & 15u) == 0);
 
     // Counted on every path (inline included) so job/chunk totals are
     // thread-count invariant: the chunking never depends on n_threads_.
-    const bool telem = telemetry::enabled();
-    const auto wall0 = telem ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point();
-    if (telem) {
-        telemetry::count(telemetry::Counter::PoolJobs);
-        telemetry::count(telemetry::Counter::PoolChunks, n_chunks);
-    }
+    telemetry::count(telemetry::Counter::PoolJobs);
+    telemetry::count(telemetry::Counter::PoolChunks, n_chunks);
 
     // Inline serial path: 1-thread pool, a single chunk, or a nested
     // call from inside a parallel region. Chunk boundaries are identical
@@ -189,15 +182,9 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
             const int64_t i0 = begin + c * grain;
             fn(i0, std::min(i0 + grain, end));
         }
-        if (telem) {
-            const double s = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 wall0)
-                                 .count();
-            telemetry::addSeconds(telemetry::Seconds::PoolWall, s);
-            telemetry::addSeconds(telemetry::Seconds::PoolBusy, s);
-            telemetry::recordTimer(telemetry::Timer::PoolJob, s);
-        }
+        const double s = span.close();
+        telemetry::addSeconds(telemetry::Seconds::PoolWall, s);
+        telemetry::addSeconds(telemetry::Seconds::PoolBusy, s);
         return;
     }
 
@@ -248,14 +235,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
         job_.reset();
     }
 
-    if (telem) {
-        const double s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall0)
-                .count();
-        telemetry::addSeconds(telemetry::Seconds::PoolWall, s);
-        telemetry::recordTimer(telemetry::Timer::PoolJob, s);
-    }
+    telemetry::addSeconds(telemetry::Seconds::PoolWall, span.close());
 
     {
         util::MutexLock err_lk(job->err_mu);

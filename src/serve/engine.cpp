@@ -152,15 +152,14 @@ Engine::admit(ServeRequest request, double now_s)
     handle.seq_ids = &seq.slot;
     handle.count = 1;
     Tensor logits = [&] {
-        trace::TraceScope span(trace::Category::Serve, "prefill", "id",
-                               request.id, "tokens", plen);
+        telemetry::Scope span(telemetry::Timer::Prefill, "prefill", "id",
+                              request.id, "tokens", plen);
         return model_.forward(request.prompt, 1, plen,
                               ForwardMode::Prefill, handle);
     }();
     const double prefill_s = realSeconds() - t_pre;
     stats_.prefill_s += prefill_s;
     stats_.prefill_tokens += plen;
-    telemetry::addSeconds(telemetry::Seconds::ServePrefill, prefill_s);
     telemetry::count(telemetry::Counter::ServePrefillTokens, plen);
 
     const int32_t first = argmaxRow(
@@ -201,9 +200,8 @@ Engine::decodeOnce(double now_s)
         step_tokens_.push_back(seq.result.tokens.back());
     }
     const int64_t count = static_cast<int64_t>(active_.size());
-    trace::TraceScope span(trace::Category::Serve, "decode_step",
-                           "width", count, "step",
-                           stats_.decode_steps);
+    telemetry::Scope span(telemetry::Timer::DecodeStep, "decode_step",
+                          "width", count, "step", stats_.decode_steps);
 
     KvCacheHandle handle;
     handle.cache = &cache_;
@@ -217,7 +215,6 @@ Engine::decodeOnce(double now_s)
     stats_.decode_s += decode_s;
     stats_.decode_steps += 1;
     stats_.decode_tokens += count;
-    telemetry::addSeconds(telemetry::Seconds::ServeDecode, decode_s);
     telemetry::count(telemetry::Counter::ServeDecodeSteps);
     telemetry::count(telemetry::Counter::ServeDecodeTokens, count);
 

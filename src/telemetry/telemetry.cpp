@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include "runtime/fault_injection.h"
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
+#include "telemetry/trace.h"
 #include "util/file_io.h"
 #include "util/logging.h"
 #include "util/thread_annotations.h"
@@ -23,34 +25,25 @@ namespace telemetry {
 namespace detail {
 
 std::atomic<int> g_mode{-1};
-thread_local Shard *t_shard = nullptr;
-
-Shard::Shard()
-{
-    for (auto &c : counters)
-        c.store(0, std::memory_order_relaxed);
-    for (auto &s : seconds)
-        s.store(0.0, std::memory_order_relaxed);
-    for (auto &g : max_gauges)
-        g.store(0, std::memory_order_relaxed);
-    for (auto &g : last_gauges)
-        g.store(0, std::memory_order_relaxed);
-    for (auto &t : timers) {
-        t.count.store(0, std::memory_order_relaxed);
-        t.sum_seconds.store(0.0, std::memory_order_relaxed);
-        for (auto &b : t.buckets)
-            b.store(0, std::memory_order_relaxed);
-    }
-}
+thread_local Slot *t_slot = nullptr;
 
 } // namespace detail
 
 namespace {
 
-using detail::Shard;
+using detail::Slot;
 
-/** Registry state behind every slow path (shard creation, folds,
- *  export). Hot-path reads never take this lock. */
+/** The two export sinks (index into the per-sink flush stamps). */
+enum Sink : int
+{
+    kTelemetrySink,
+    kTraceSink,
+    kNumSinks
+};
+
+/** Registry state behind every slow path (slot and ring creation,
+ *  configuration, folds, export). Hot-path reads never take this
+ *  lock. */
 struct Registry
 {
     /** Lock hierarchy: mu and flush_mu are never nested — a flusher
@@ -58,14 +51,17 @@ struct Registry
      *  under flush_mu (SNIP_ACQUIRED_BEFORE documents the one legal
      *  order should that ever change). */
     util::Mutex mu SNIP_ACQUIRED_BEFORE(flush_mu);
-    /** All shards ever created. Never freed: a dead thread's cells
-     *  stay part of the cumulative totals (and thread_local cleanup
-     *  order stays irrelevant). Intentionally leaked, like the global
-     *  thread pool. The vector is guarded; the shard CELLS are not —
-     *  they are owner-written atomics the folder reads relaxed. */
-    std::vector<Shard *> shards SNIP_GUARDED_BY(mu);
+    /** All slots ever created, in registration order (slot i has tid
+     *  i + 1). Never freed: a dead thread's cells stay part of the
+     *  cumulative totals and its spans stay exportable (and
+     *  thread_local cleanup order stays irrelevant). Intentionally
+     *  leaked, like the global thread pool. The vector is guarded;
+     *  the CELLS are owner-written atomics the readers load relaxed
+     *  (shards) or under the seqlock protocol (rings). */
+    std::vector<Slot *> slots SNIP_GUARDED_BY(mu);
 
-    Config config SNIP_GUARDED_BY(mu);
+    Config telemetry_config SNIP_GUARDED_BY(mu);
+    std::string trace_path SNIP_GUARDED_BY(mu);
     bool atexit_registered SNIP_GUARDED_BY(mu) = false;
 
     /** Baseline of the previous boundary (deltas are taken against
@@ -79,22 +75,22 @@ struct Registry
     std::vector<std::string> series SNIP_GUARDED_BY(mu);
     int boundaries_since_flush SNIP_GUARDED_BY(mu) = 0;
 
-    /** Export writes happen outside mu (see prepareFlushLocked), so
-     *  concurrent flushers need their own serialization: the staging
-     *  file name is pid-derived, and two unserialized writers would
-     *  truncate each other's staging data mid-write. flush_seq (under
-     *  mu) stamps each prepared document; flush_published (under
-     *  flush_mu) drops a snapshot that lost the race to a newer one
-     *  instead of publishing stale data over it. */
+    /** Export writes happen outside mu (see flushSink), so concurrent
+     *  flushers need their own serialization: the staging file name
+     *  is pid-derived, and two unserialized writers would truncate
+     *  each other's staging data mid-write. flush_seq (under mu)
+     *  stamps each rendered document; flush_published (under
+     *  flush_mu) drops a document that lost the race to a newer one
+     *  of the same sink instead of publishing stale data over it. */
     util::Mutex flush_mu;
-    uint64_t flush_seq SNIP_GUARDED_BY(mu) = 0;
-    uint64_t flush_published SNIP_GUARDED_BY(flush_mu) = 0;
+    uint64_t flush_seq[kNumSinks] SNIP_GUARDED_BY(mu) = {};
+    uint64_t flush_published[kNumSinks] SNIP_GUARDED_BY(flush_mu) = {};
 };
 
 Registry &
 registry()
 {
-    static Registry *r = new Registry; // leaked; see shards comment
+    static Registry *r = new Registry; // leaked; see slots comment
     return *r;
 }
 
@@ -102,25 +98,25 @@ Snapshot
 foldLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
 {
     Snapshot out;
-    for (Shard *shard : reg.shards) {
+    for (const Slot *slot : reg.slots) {
         for (int i = 0; i < kNumCounters; ++i)
             out.counters[i] +=
-                shard->counters[i].load(std::memory_order_relaxed);
+                slot->counters[i].load(std::memory_order_relaxed);
         for (int i = 0; i < kNumSeconds; ++i)
             out.seconds[i] +=
-                shard->seconds[i].load(std::memory_order_relaxed);
+                slot->seconds[i].load(std::memory_order_relaxed);
         for (int i = 0; i < kNumMaxGauges; ++i) {
             const int64_t v =
-                shard->max_gauges[i].load(std::memory_order_relaxed);
+                slot->max_gauges[i].load(std::memory_order_relaxed);
             if (v > out.max_gauges[i])
                 out.max_gauges[i] = v;
         }
         for (int i = 0; i < kNumLastGauges; ++i)
             out.last_gauges[i] +=
-                shard->last_gauges[i].load(std::memory_order_relaxed);
+                slot->last_gauges[i].load(std::memory_order_relaxed);
         for (int i = 0; i < kNumTimers; ++i) {
             Snapshot::TimerStat &t = out.timers[i];
-            const Shard::TimerCell &c = shard->timers[i];
+            const Slot::TimerCell &c = slot->timers[i];
             t.count += c.count.load(std::memory_order_relaxed);
             t.sum_seconds +=
                 c.sum_seconds.load(std::memory_order_relaxed);
@@ -133,35 +129,6 @@ foldLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
 }
 
 // ------------------------------------------------------ JSON helpers
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char ch : s) {
-        switch (ch) {
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            case '\n':
-                out += "\\n";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
-}
 
 void
 appendInt(std::string &out, const char *key, int64_t v, bool first)
@@ -195,6 +162,18 @@ secondsDelta(const Snapshot &now, const Snapshot &prev, Seconds s)
     return now.secondsOf(s) - prev.secondsOf(s);
 }
 
+int64_t
+timerCountDelta(const Snapshot &now, const Snapshot &prev, Timer t)
+{
+    return now.timer(t).count - prev.timer(t).count;
+}
+
+double
+timerSecondsDelta(const Snapshot &now, const Snapshot &prev, Timer t)
+{
+    return now.timer(t).sum_seconds - prev.timer(t).sum_seconds;
+}
+
 /** One per-step record: subsystem-grouped deltas + derived rates. */
 std::string
 renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
@@ -204,8 +183,7 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     appendInt(r, "step", step, true);
     appendDouble(r, "wall_s", wall_seconds, false);
 
-    const double gemm_s = now.timer(Timer::Gemm).sum_seconds -
-                          prev.timer(Timer::Gemm).sum_seconds;
+    const double gemm_s = timerSecondsDelta(now, prev, Timer::Gemm);
     const int64_t flops = counterDelta(now, prev, Counter::GemmFlops);
     r += ", \"gemm\": {";
     appendInt(r, "calls", counterDelta(now, prev, Counter::GemmCalls),
@@ -256,17 +234,13 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     r += "}";
 
     r += ", \"attn\": {";
-    appendInt(r, "fwd_calls",
-              counterDelta(now, prev, Counter::AttnFwdCalls), true);
-    appendInt(r, "bwd_calls",
-              counterDelta(now, prev, Counter::AttnBwdCalls), false);
-    appendDouble(r, "fwd_s",
-                 now.timer(Timer::AttnFwd).sum_seconds -
-                     prev.timer(Timer::AttnFwd).sum_seconds,
+    appendInt(r, "fwd_calls", timerCountDelta(now, prev, Timer::AttnFwd),
+              true);
+    appendInt(r, "bwd_calls", timerCountDelta(now, prev, Timer::AttnBwd),
+              false);
+    appendDouble(r, "fwd_s", timerSecondsDelta(now, prev, Timer::AttnFwd),
                  false);
-    appendDouble(r, "bwd_s",
-                 now.timer(Timer::AttnBwd).sum_seconds -
-                     prev.timer(Timer::AttnBwd).sum_seconds,
+    appendDouble(r, "bwd_s", timerSecondsDelta(now, prev, Timer::AttnBwd),
                  false);
     r += "}";
 
@@ -288,9 +262,7 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     appendInt(r, "skipped",
               counterDelta(now, prev, Counter::SchemeUpdateSkips), false);
     appendDouble(r, "handoff_wait_s",
-                 now.timer(Timer::SchemeWait).sum_seconds -
-                     prev.timer(Timer::SchemeWait).sum_seconds,
-                 false);
+                 timerSecondsDelta(now, prev, Timer::SchemeWait), false);
     r += "}";
 
     r += ", \"serve\": {";
@@ -305,9 +277,9 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     appendInt(r, "decode_steps",
               counterDelta(now, prev, Counter::ServeDecodeSteps), false);
     appendDouble(r, "prefill_s",
-                 secondsDelta(now, prev, Seconds::ServePrefill), false);
+                 timerSecondsDelta(now, prev, Timer::Prefill), false);
     appendDouble(r, "decode_s",
-                 secondsDelta(now, prev, Seconds::ServeDecode), false);
+                 timerSecondsDelta(now, prev, Timer::DecodeStep), false);
     appendInt(r, "kv_page_allocs",
               counterDelta(now, prev, Counter::KvPageAllocs), false);
     appendInt(r, "kv_page_releases",
@@ -349,8 +321,14 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     return r;
 }
 
-const char *const kTimerNames[kNumTimers] = {
-    "gemm", "attn_fwd", "attn_bwd", "pool_job", "scheme_wait"};
+/** Export names, in Timer order (the span name where a Scope times
+ *  exactly one kind of span). */
+const char *const kTimerNames[] = {
+    "gemm", "attn_fwd", "attn_bwd", "pool_job", "scheme_wait", "step",
+    "scheme_apply", "fwd", "bwd", "optim", "scheme_solve", "handoff_wait",
+    "prefill", "decode_step"};
+static_assert(sizeof(kTimerNames) / sizeof(kTimerNames[0]) == kNumTimers,
+              "one export name per timer");
 
 /** Cumulative timer histograms: the per-step records stay lean, the
  *  full log2(ns) distributions land once per document. */
@@ -387,7 +365,7 @@ renderDocumentLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
     appendInt(doc, "pid", static_cast<int64_t>(::getpid()), true);
     appendInt(doc, "threads", runtime::defaultThreadCount(), false);
     doc += ", \"simd\": \"";
-    appendEscaped(doc, simd::activeBackendName());
+    detail::appendEscaped(doc, simd::activeBackendName());
     doc += "\"}, \"series\": [";
     for (size_t i = 0; i < reg.series.size(); ++i) {
         if (i > 0)
@@ -401,102 +379,188 @@ renderDocumentLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
 }
 
 /**
- * Render the export under the lock; the CALLER writes the file after
- * releasing reg.mu. File I/O must never hold the registry mutex: the
- * write seam reenters telemetry (the "telemetry.export" fault point
- * counts its injection, which may create this thread's shard — a
- * self-deadlock if the mutex were still held), and a slow disk would
- * stall every thread's first counter bump besides.
- *
- * Returns the path to write (empty = nothing to do) in @p path, the
- * rendered document in @p doc, and its freshness stamp in @p seq —
- * pass all three to writeExport() after dropping reg.mu.
+ * Export one sink's document to its configured path (no-op without
+ * one). The document is rendered under reg.mu, but the file is
+ * written after releasing it: the write seam reenters the registry
+ * (the "telemetry.export" fault point counts its injection, which may
+ * create this thread's slot — a self-deadlock if the mutex were still
+ * held), and a slow disk would stall every thread's first counter
+ * bump besides. Writers of one sink are serialized under flush_mu,
+ * and a document older than the last published one is dropped.
  */
-void
-prepareFlushLocked(Registry &reg, std::string *path, std::string *doc,
-                   uint64_t *seq) SNIP_REQUIRES(reg.mu)
-{
-    reg.boundaries_since_flush = 0;
-    path->clear();
-    if (reg.config.json_path.empty())
-        return;
-    *path = reg.config.json_path;
-    *doc = renderDocumentLocked(reg);
-    *seq = ++reg.flush_seq;
-}
-
-/** Write a document prepared under reg.mu, serialized against other
- *  exporters and skipped when a newer snapshot already landed. */
 bool
-writeExport(Registry &reg, uint64_t seq, const std::string &path,
-            const std::string &doc) SNIP_EXCLUDES(reg.mu)
+flushSink(Registry &reg, Sink sink) SNIP_EXCLUDES(reg.mu)
 {
+    std::string path, doc;
+    uint64_t seq = 0;
+    {
+        util::MutexLock lk(reg.mu);
+        const int bit = sink == kTelemetrySink ? detail::kTelemetryBit
+                                               : detail::kTraceBit;
+        const int mode = detail::g_mode.load(std::memory_order_relaxed);
+        if (mode < 0 || (mode & bit) == 0)
+            return true; // disabled (or never resolved): nothing to do
+        if (sink == kTelemetrySink) {
+            reg.boundaries_since_flush = 0;
+            path = reg.telemetry_config.json_path;
+        } else {
+            path = reg.trace_path;
+        }
+        if (path.empty())
+            return true;
+        doc = sink == kTelemetrySink ? renderDocumentLocked(reg)
+                                     : trace::detail::renderChrome(
+                                           reg.slots);
+        seq = ++reg.flush_seq[sink];
+    }
     util::MutexLock lk(reg.flush_mu);
-    if (seq <= reg.flush_published)
-        return true; // a newer snapshot was already published
-    if (!detail::writeFileAtomic(path, doc))
+    if (seq <= reg.flush_published[sink])
+        return true; // a newer document was already published
+    // Exports are observability, not durable state: a lost export is
+    // re-rendered at the next flush, so readers-only atomicity
+    // (durable = false) is enough.
+    if (SNIP_FAULT_POINT("telemetry.export") ||
+        !fsio::writeFileAtomic(path, doc, /*durable=*/false))
         return false;
-    reg.flush_published = seq;
+    reg.flush_published[sink] = seq;
     return true;
 }
 
+/** "off" | "on" | "json:<path>" (null or empty = off), the grammar of
+ *  both SNIP_TELEMETRY and SNIP_TRACE. */
+bool
+parseSpec(const char *spec, bool *enabled, std::string *path)
+{
+    if (spec == nullptr || *spec == '\0' ||
+        std::strcmp(spec, "off") == 0) {
+        *enabled = false;
+        path->clear();
+        return true;
+    }
+    if (std::strcmp(spec, "on") == 0) {
+        *enabled = true;
+        path->clear();
+        return true;
+    }
+    if (std::strncmp(spec, "json:", 5) == 0 && spec[5] != '\0') {
+        *enabled = true;
+        *path = spec + 5;
+        return true;
+    }
+    return false;
+}
+
+/** Set or clear one bit of the resolved mode word (every writer
+ *  holds reg.mu, so the load+store pair cannot lose an update). */
 void
-applyConfigLocked(Registry &reg, const Config &config)
+setBitLocked([[maybe_unused]] Registry &reg, int bit, bool on)
     SNIP_REQUIRES(reg.mu)
 {
-    reg.config = config;
+    const int mode = detail::g_mode.load(std::memory_order_relaxed);
+    detail::g_mode.store(on ? (mode | bit) : (mode & ~bit),
+                         std::memory_order_release);
+}
+
+void
+registerExitFlushLocked(Registry &reg, bool enabled,
+                        const std::string &path) SNIP_REQUIRES(reg.mu)
+{
+    if (!enabled || path.empty() || reg.atexit_registered)
+        return;
+    // Benches and tests rarely flush explicitly; make sure a
+    // normally-exiting process always leaves complete documents.
+    reg.atexit_registered = true;
+    std::atexit([] {
+        (void)flush();
+        (void)trace::flush();
+    });
+}
+
+void
+applyTelemetryLocked(Registry &reg, const Config &config)
+    SNIP_REQUIRES(reg.mu)
+{
+    reg.telemetry_config = config;
     reg.series.clear();
     reg.boundaries_since_flush = 0;
     reg.prev = foldLocked(reg);
     reg.prev_time = std::chrono::steady_clock::now();
     reg.have_prev_time = true;
-    if (config.enabled && !config.json_path.empty() &&
-        !reg.atexit_registered) {
-        // Benches and tests rarely flush explicitly; make sure a
-        // normally-exiting process always leaves a complete document.
-        reg.atexit_registered = true;
-        std::atexit([] { (void)flush(); });
-    }
-    detail::g_mode.store(config.enabled ? 1 : 0,
-                         std::memory_order_release);
+    registerExitFlushLocked(reg, config.enabled, config.json_path);
 }
 
-bool
-parseSpec(const char *spec, Config *out)
+void
+applyTraceLocked(Registry &reg, const trace::Config &config)
+    SNIP_REQUIRES(reg.mu)
 {
-    if (spec == nullptr || *spec == '\0' ||
-        std::strcmp(spec, "off") == 0) {
-        out->enabled = false;
-        out->json_path.clear();
-        return true;
+    reg.trace_path = config.json_path;
+    registerExitFlushLocked(reg, config.enabled, config.json_path);
+    // Pin the shared epoch before any scope can observe the trace bit,
+    // so no span starts before it.
+    (void)trace::nowNs();
+}
+
+/** Resolve both sinks from the environment, once; both bits land in
+ *  one store. */
+void
+resolveLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
+{
+    if (detail::g_mode.load(std::memory_order_acquire) >= 0)
+        return; // raced with another resolver/configure()
+    const runtime::EnvConfig &env = runtime::envConfig();
+    Config tc;
+    const char *spec = env.telemetry().cstrOrNull();
+    if (!parseSpec(spec, &tc.enabled, &tc.json_path)) {
+        warn("unknown SNIP_TELEMETRY value '", spec,
+             "' (expected off|on|json:<path>); telemetry disabled");
+        tc = Config{};
     }
-    if (std::strcmp(spec, "on") == 0) {
-        out->enabled = true;
-        out->json_path.clear();
-        return true;
+    trace::Config rc;
+    spec = env.trace().cstrOrNull();
+    if (!parseSpec(spec, &rc.enabled, &rc.json_path)) {
+        warn("unknown SNIP_TRACE value '", spec,
+             "' (expected off|on|json:<path>); tracing disabled");
+        rc = trace::Config{};
     }
-    if (std::strncmp(spec, "json:", 5) == 0 && spec[5] != '\0') {
-        out->enabled = true;
-        out->json_path = spec + 5;
-        return true;
-    }
-    return false;
+    applyTelemetryLocked(reg, tc);
+    applyTraceLocked(reg, rc);
+    detail::g_mode.store((tc.enabled ? detail::kTelemetryBit : 0) |
+                             (rc.enabled ? detail::kTraceBit : 0),
+                         std::memory_order_release);
 }
 
 } // namespace
 
 namespace detail {
 
-bool
-writeFileAtomic(const std::string &path, const std::string &content)
+void
+appendEscaped(std::string &out, const char *s)
 {
-    // Exports are observability, not durable state: a lost export is
-    // re-rendered at the next flush, so readers-only atomicity
-    // (durable = false) is enough. Both the telemetry and the trace
-    // exporter funnel through this one seam.
-    if (SNIP_FAULT_POINT("telemetry.export"))
-        return false;
-    return fsio::writeFileAtomic(path, content, /*durable=*/false);
+    for (; *s != '\0'; ++s) {
+        const char ch = *s;
+        switch (ch) {
+            case '"':
+                out += "\\\"";
+                break;
+            case '\\':
+                out += "\\\\";
+                break;
+            case '\n':
+                out += "\\n";
+                break;
+            case '\t':
+                out += "\\t";
+                break;
+            default:
+                if (static_cast<unsigned char>(ch) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+                    out += buf;
+                } else {
+                    out += ch;
+                }
+        }
+    }
 }
 
 int
@@ -504,31 +568,21 @@ resolveMode()
 {
     Registry &reg = registry();
     util::MutexLock lk(reg.mu);
-    int mode = g_mode.load(std::memory_order_acquire);
-    if (mode >= 0)
-        return mode; // raced with another resolver/configure()
-    Config config;
-    const char *spec =
-        runtime::envConfig().telemetry().cstrOrNull();
-    if (!parseSpec(spec, &config)) {
-        warn("unknown SNIP_TELEMETRY value '", spec,
-             "' (expected off|on|json:<path>); telemetry disabled");
-        config = Config{};
-    }
-    applyConfigLocked(reg, config);
-    return config.enabled ? 1 : 0;
+    resolveLocked(reg);
+    return g_mode.load(std::memory_order_relaxed);
 }
 
-Shard &
-shardSlow()
+Slot &
+slotSlow()
 {
     Registry &reg = registry();
     util::MutexLock lk(reg.mu);
-    if (t_shard == nullptr) {
-        t_shard = new Shard; // leaked; see Registry::shards
-        reg.shards.push_back(t_shard);
+    if (t_slot == nullptr) {
+        t_slot = new Slot; // leaked; see Registry::slots
+        reg.slots.push_back(t_slot);
+        t_slot->tid = static_cast<int>(reg.slots.size());
     }
-    return *t_shard;
+    return *t_slot;
 }
 
 } // namespace detail
@@ -544,13 +598,12 @@ snapshot()
 void
 stepBoundary(int64_t step)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     // Resolve outside the registry lock: both may take their own.
     const int pool_threads = runtime::globalThreadPool().numThreads();
     Registry &reg = registry();
-    std::string flush_path, flush_doc;
-    uint64_t flush_seq = 0;
+    bool due = false;
     {
         util::MutexLock lk(reg.mu);
         const auto now_time = std::chrono::steady_clock::now();
@@ -566,30 +619,17 @@ stepBoundary(int64_t step)
         reg.prev = now;
         reg.prev_time = now_time;
         reg.have_prev_time = true;
-        if (reg.config.flush_every > 0 &&
-            ++reg.boundaries_since_flush >= reg.config.flush_every)
-            prepareFlushLocked(reg, &flush_path, &flush_doc,
-                               &flush_seq);
+        const int every = reg.telemetry_config.flush_every;
+        due = every > 0 && ++reg.boundaries_since_flush >= every;
     }
-    if (!flush_path.empty())
-        (void)writeExport(reg, flush_seq, flush_path, flush_doc);
+    if (due)
+        (void)flushSink(reg, kTelemetrySink);
 }
 
 bool
 flush()
 {
-    if (detail::g_mode.load(std::memory_order_acquire) != 1)
-        return true;
-    Registry &reg = registry();
-    std::string path, doc;
-    uint64_t seq = 0;
-    {
-        util::MutexLock lk(reg.mu);
-        prepareFlushLocked(reg, &path, &doc, &seq);
-    }
-    if (path.empty())
-        return true;
-    return writeExport(reg, seq, path, doc);
+    return flushSink(registry(), kTelemetrySink);
 }
 
 int64_t
@@ -625,8 +665,8 @@ summary()
                                s.counter(Counter::PackCacheRebuilds)),
         static_cast<long long>(s.maxGauge(MaxGauge::ArenaHighWaterBytes)),
         static_cast<long long>(s.counter(Counter::PoolJobs)),
-        static_cast<long long>(s.counter(Counter::AttnFwdCalls)),
-        static_cast<long long>(s.counter(Counter::AttnBwdCalls)),
+        static_cast<long long>(s.timer(Timer::AttnFwd).count),
+        static_cast<long long>(s.timer(Timer::AttnBwd).count),
         static_cast<long long>(s.counter(Counter::SchemeUpdates)),
         s.secondsOf(Seconds::SchemeWork) > 0.0
             ? 100.0 * s.secondsOf(Seconds::SchemeHidden) /
@@ -642,18 +682,91 @@ configure(const Config &config)
 {
     Registry &reg = registry();
     util::MutexLock lk(reg.mu);
-    applyConfigLocked(reg, config);
+    resolveLocked(reg); // the trace bit keeps its environment value
+    applyTelemetryLocked(reg, config);
+    setBitLocked(reg, detail::kTelemetryBit, config.enabled);
 }
 
 bool
 configureFromSpec(const char *spec)
 {
     Config config;
-    if (!parseSpec(spec, &config))
+    if (!parseSpec(spec, &config.enabled, &config.json_path))
         return false;
     configure(config);
     return true;
 }
 
 } // namespace telemetry
+
+namespace trace {
+
+using telemetry::Registry;
+using telemetry::registry;
+
+namespace detail {
+
+Ring &
+ringSlow()
+{
+    Slot &slot = telemetry::detail::slot();
+    Registry &reg = registry();
+    util::MutexLock lk(reg.mu);
+    if (slot.ring == nullptr)
+        slot.ring = new Ring; // leaked; see Registry::slots
+    return *slot.ring;
+}
+
+} // namespace detail
+
+std::string
+renderJson()
+{
+    Registry &reg = registry();
+    util::MutexLock lk(reg.mu);
+    return detail::renderChrome(reg.slots);
+}
+
+bool
+flush()
+{
+    return telemetry::flushSink(registry(), telemetry::kTraceSink);
+}
+
+int64_t
+spansRecorded()
+{
+    Registry &reg = registry();
+    util::MutexLock lk(reg.mu);
+    int64_t n = 0;
+    for (const telemetry::detail::Slot *slot : reg.slots)
+        if (slot->ring != nullptr)
+            n += static_cast<int64_t>(std::min(
+                slot->ring->head.load(std::memory_order_acquire),
+                static_cast<uint64_t>(kRingCapacity)));
+    return n;
+}
+
+void
+configure(const Config &config)
+{
+    Registry &reg = registry();
+    util::MutexLock lk(reg.mu);
+    telemetry::resolveLocked(reg); // likewise the telemetry bit
+    telemetry::applyTraceLocked(reg, config);
+    telemetry::setBitLocked(reg, telemetry::detail::kTraceBit,
+                            config.enabled);
+}
+
+bool
+configureFromSpec(const char *spec)
+{
+    Config config;
+    if (!telemetry::parseSpec(spec, &config.enabled, &config.json_path))
+        return false;
+    configure(config);
+    return true;
+}
+
+} // namespace trace
 } // namespace snip

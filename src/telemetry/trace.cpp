@@ -1,96 +1,49 @@
 #include "telemetry/trace.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <vector>
 
 #include <unistd.h>
 
-#include "runtime/env_config.h"
-#include "telemetry/telemetry.h"
-#include "util/logging.h"
-#include "util/thread_annotations.h"
-
 namespace snip {
 namespace trace {
-
-namespace detail {
-
-std::atomic<int> g_mode{-1};
-thread_local Ring *t_ring = nullptr;
-
-} // namespace detail
 
 namespace {
 
 using detail::Ring;
 using detail::SpanCell;
+using telemetry::Timer;
 
 const char *const kCategoryNames[kNumCategories] = {
     "train", "scheme", "pool", "gemm", "attn", "serve"};
 
-/** Registry state behind every slow path (ring creation, export).
- *  Hot-path recording never takes this lock. */
-struct Registry
-{
-    util::Mutex mu;
-    /** All rings ever created, in registration order (the order
-     *  assigns tids). Never freed; see Ring. The vector is guarded;
-     *  ring CELLS are owner-written under the seqlock protocol the
-     *  exporter reads with acquire loads. */
-    std::vector<Ring *> rings SNIP_GUARDED_BY(mu);
-
-    Config config SNIP_GUARDED_BY(mu);
-    bool atexit_registered SNIP_GUARDED_BY(mu) = false;
+/** The category of each timer's spans, in Timer order. */
+const Category kTimerCategory[] = {
+    Category::Gemm,   // Gemm
+    Category::Attn,   // AttnFwd
+    Category::Attn,   // AttnBwd
+    Category::Pool,   // PoolJob
+    Category::Scheme, // SchemeWait
+    Category::Train,  // Step
+    Category::Train,  // SchemeApply
+    Category::Train,  // Fwd
+    Category::Train,  // Bwd
+    Category::Train,  // Optim
+    Category::Scheme, // SchemeSolve
+    Category::Scheme, // HandoffWait
+    Category::Serve,  // Prefill
+    Category::Serve,  // DecodeStep
 };
-
-Registry &
-registry()
-{
-    static Registry *r = new Registry; // leaked; see rings comment
-    return *r;
-}
+static_assert(sizeof(kTimerCategory) / sizeof(kTimerCategory[0]) ==
+                  telemetry::kNumTimers,
+              "one category per timer");
 
 /** Steady-clock origin shared by every span. Resolved once on first
  *  use (thread-safe magic static; no lock or allocation afterwards). */
-std::chrono::steady_clock::time_point
-traceEpoch()
+int64_t
+epochNs()
 {
-    static const std::chrono::steady_clock::time_point epoch =
-        std::chrono::steady_clock::now();
+    static const int64_t epoch = telemetry::detail::clockNs();
     return epoch;
-}
-
-void
-appendEscaped(std::string &out, const char *s)
-{
-    for (; *s != '\0'; ++s) {
-        const char ch = *s;
-        switch (ch) {
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            case '\n':
-                out += "\\n";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
 }
 
 /** A consistent copy of one cell, or failure when the read raced the
@@ -142,7 +95,7 @@ appendEvent(std::string &out, int64_t pid, int tid, const SpanCopy &s,
                ? kCategoryNames[s.cat]
                : "other";
     out += "\", \"name\": \"";
-    appendEscaped(out, s.name);
+    telemetry::detail::appendEscaped(out, s.name);
     out += "\"";
     if (s.arg_key[0] != nullptr || s.arg_key[1] != nullptr) {
         out += ", \"args\": {";
@@ -154,7 +107,7 @@ appendEvent(std::string &out, int64_t pid, int tid, const SpanCopy &s,
                 out += ", ";
             first_arg = false;
             out += "\"";
-            appendEscaped(out, s.arg_key[a]);
+            telemetry::detail::appendEscaped(out, s.arg_key[a]);
             std::snprintf(buf, sizeof(buf), "\": %lld",
                           static_cast<long long>(s.arg_val[a]));
             out += buf;
@@ -176,20 +129,27 @@ appendThreadNameEvent(std::string &out, int64_t pid, int tid,
                   "\"name\": \"thread_name\", \"args\": {\"name\": \"",
                   static_cast<long long>(pid), tid);
     out += buf;
-    appendEscaped(out, name);
+    telemetry::detail::appendEscaped(out, name);
     out += "\"}}";
 }
 
+} // namespace
+
+namespace detail {
+
 std::string
-renderJsonLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
+renderChrome(const std::vector<Slot *> &slots)
 {
     const int64_t pid = static_cast<int64_t>(::getpid());
     std::string doc = "{\"traceEvents\": [\n";
     bool first = true;
-    for (const Ring *r : reg.rings) {
+    for (const Slot *slot : slots) {
+        const Ring *r = slot->ring;
+        if (r == nullptr)
+            continue;
         if (const char *tn =
                 r->thread_name.load(std::memory_order_acquire)) {
-            appendThreadNameEvent(doc, pid, r->tid, tn, first);
+            appendThreadNameEvent(doc, pid, slot->tid, tn, first);
             first = false;
         }
         const uint64_t head = r->head.load(std::memory_order_acquire);
@@ -199,7 +159,7 @@ renderJsonLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
             SpanCopy s;
             if (!readCell(r->cells[(ticket - 1) % cap], ticket, &s))
                 continue; // torn by a concurrent writer; skip
-            appendEvent(doc, pid, r->tid, s, first);
+            appendEvent(doc, pid, slot->tid, s, first);
             first = false;
         }
     }
@@ -207,159 +167,37 @@ renderJsonLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
     return doc;
 }
 
-bool
-flushLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
-{
-    if (reg.config.json_path.empty())
-        return true;
-    return telemetry::detail::writeFileAtomic(reg.config.json_path,
-                                              renderJsonLocked(reg));
-}
-
-void
-applyConfigLocked(Registry &reg, const Config &config)
-    SNIP_REQUIRES(reg.mu)
-{
-    reg.config = config;
-    if (config.enabled && !config.json_path.empty() &&
-        !reg.atexit_registered) {
-        // Benches and tests rarely flush explicitly; make sure a
-        // normally-exiting process always leaves a complete document.
-        reg.atexit_registered = true;
-        std::atexit([] { (void)flush(); });
-    }
-    // Pin the shared epoch before any recorder can observe mode=on,
-    // so the first span never pays the magic-static guard.
-    (void)traceEpoch();
-    detail::g_mode.store(config.enabled ? 1 : 0,
-                         std::memory_order_release);
-}
-
-bool
-parseSpec(const char *spec, Config *out)
-{
-    if (spec == nullptr || *spec == '\0' ||
-        std::strcmp(spec, "off") == 0) {
-        out->enabled = false;
-        out->json_path.clear();
-        return true;
-    }
-    if (std::strcmp(spec, "on") == 0) {
-        out->enabled = true;
-        out->json_path.clear();
-        return true;
-    }
-    if (std::strncmp(spec, "json:", 5) == 0 && spec[5] != '\0') {
-        out->enabled = true;
-        out->json_path = spec + 5;
-        return true;
-    }
-    return false;
-}
-
-} // namespace
-
-namespace detail {
-
-int
-resolveMode()
-{
-    Registry &reg = registry();
-    util::MutexLock lk(reg.mu);
-    int mode = g_mode.load(std::memory_order_acquire);
-    if (mode >= 0)
-        return mode; // raced with another resolver/configure()
-    Config config;
-    const char *spec = runtime::envConfig().trace().cstrOrNull();
-    if (!parseSpec(spec, &config)) {
-        warn("unknown SNIP_TRACE value '", spec,
-             "' (expected off|on|json:<path>); tracing disabled");
-        config = Config{};
-    }
-    applyConfigLocked(reg, config);
-    return config.enabled ? 1 : 0;
-}
-
-Ring &
-ringSlow()
-{
-    Registry &reg = registry();
-    util::MutexLock lk(reg.mu);
-    if (t_ring == nullptr) {
-        t_ring = new Ring; // leaked; see Registry::rings
-        reg.rings.push_back(t_ring);
-        t_ring->tid = static_cast<int>(reg.rings.size());
-    }
-    return *t_ring;
-}
-
 } // namespace detail
 
 int64_t
 nowNs()
 {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - traceEpoch())
-        .count();
+    return telemetry::detail::clockNs() - epochNs();
 }
 
 void
 setCurrentThreadName(const char *name)
 {
-    if (!detail::on())
-        return;
-    detail::ring().thread_name.store(name, std::memory_order_release);
-}
-
-std::string
-renderJson()
-{
-    Registry &reg = registry();
-    util::MutexLock lk(reg.mu);
-    return renderJsonLocked(reg);
-}
-
-bool
-flush()
-{
-    if (detail::g_mode.load(std::memory_order_acquire) != 1)
-        return true;
-    Registry &reg = registry();
-    util::MutexLock lk(reg.mu);
-    return flushLocked(reg);
-}
-
-int64_t
-spansRecorded()
-{
-    Registry &reg = registry();
-    util::MutexLock lk(reg.mu);
-    int64_t n = 0;
-    for (const Ring *r : reg.rings) {
-        const uint64_t head = r->head.load(std::memory_order_acquire);
-        n += static_cast<int64_t>(
-            std::min(head, static_cast<uint64_t>(kRingCapacity)));
-    }
-    return n;
-}
-
-void
-configure(const Config &config)
-{
-    Registry &reg = registry();
-    util::MutexLock lk(reg.mu);
-    applyConfigLocked(reg, config);
-}
-
-bool
-configureFromSpec(const char *spec)
-{
-    Config config;
-    if (!parseSpec(spec, &config))
-        return false;
-    configure(config);
-    return true;
+    if (enabled())
+        detail::ring().thread_name.store(name, std::memory_order_release);
 }
 
 } // namespace trace
+
+namespace telemetry {
+namespace detail {
+
+void
+publishSpan(Timer t, const char *name, int64_t t0_clock_ns,
+            int64_t dur_ns, const char *k0, int64_t v0, const char *k1,
+            int64_t v1)
+{
+    trace::detail::publish(trace::detail::ring(),
+                           trace::kTimerCategory[static_cast<int>(t)],
+                           name, t0_clock_ns - trace::epochNs(), dur_ns,
+                           k0, v0, k1, v1);
+}
+
+} // namespace detail
+} // namespace telemetry
 } // namespace snip

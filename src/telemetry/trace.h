@@ -1,46 +1,22 @@
 /**
  * @file
- * Structured span tracing: a lock-free per-thread flight recorder with
- * Chrome-trace-event/Perfetto JSON export.
+ * The span sink of the instrumentation registry (telemetry.h): the
+ * per-thread flight-recorder ring and its Chrome trace-event JSON
+ * export (open it in https://ui.perfetto.dev or chrome://tracing).
  *
- * Where the telemetry registry (telemetry.h) answers "how much / how
- * fast on average", the tracer answers "what happened to THIS request"
- * and "where did THIS step's time go": every instrumented scope — a
- * trainStep phase, a scheme-worker solve, a coalesced decode iteration
- * — lands as one timestamped span, drained into a timeline you can
- * open in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+ * Spans are opened with telemetry::Scope, which also feeds the
+ * telemetry timers; this header holds what is specific to the ring:
+ * the cell layout, record() for spans whose start lies in the past
+ * (the serving engine's backdated `queued` and `request` spans), and
+ * the export. A ring is a flight recorder: when it wraps, the NEWEST
+ * spans win (the telemetry timers keep the per-run totals). Cells are
+ * seqlock-stamped, so a drain that races the owning writer skips torn
+ * cells instead of exporting garbage. Span names and arg keys are
+ * static strings — recording never copies or hashes text.
  *
- * Design (the PR 6 sharded-cell discipline applied to events):
- *
- *  - Each thread owns one fixed-capacity ring of span cells, created
- *    on its first span, registered once, never freed. The owner is the
- *    only writer and uses relaxed load+store pairs — no hot-path RMW,
- *    no lock, no allocation once the ring exists. Recording a span is
- *    two clock samples plus a handful of plain stores.
- *  - The ring is a flight recorder: when it wraps, the NEWEST spans
- *    win and the oldest are overwritten. Cells are seqlock-stamped
- *    (ticket written last on publish, re-checked by the reader), so a
- *    drain that races a writer skips torn cells instead of exporting
- *    garbage; export points (process exit, flush()) are normally
- *    quiescent anyway.
- *  - Span names and arg keys are static strings (string literals at
- *    the instrumentation site) — recording never copies or hashes
- *    text.
- *  - Tracing observes, it never steers: no kernel branches on trace
- *    state, so SNIP_TRACE=off|on cannot change training numerics.
- *    Disabled, every hook is one relaxed flag load and a predicted
- *    branch.
- *
- * Enabling: the SNIP_TRACE environment variable —
- *
- *   SNIP_TRACE=off          disabled (default when unset)
- *   SNIP_TRACE=on           record in memory (renderJson() on demand)
- *   SNIP_TRACE=json:<path>  record and write the Chrome trace JSON to
- *                           <path> at exit/flush() (atomically: tmp +
- *                           rename, like the telemetry export)
- *
- * or programmatically via configure() (tests, benches — e.g.
- * `serve_throughput --trace`).
+ * Enabling: SNIP_TRACE=off (default) | on (record in memory) |
+ * json:<path> (also write the document at exit/flush()), or
+ * configure() (e.g. `serve_throughput --trace`).
  *
  * The document is the Chrome trace-event format:
  * {"traceEvents": [{"ph": "X", "pid": ..., "tid": ..., "ts": <us>,
@@ -55,6 +31,9 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
+
+#include "telemetry/telemetry.h"
 
 namespace snip {
 namespace trace {
@@ -64,7 +43,7 @@ namespace trace {
 enum class Category : int
 {
     Train,  ///< trainStep phases: fwd, bwd, optim, scheme_apply
-    Scheme, ///< async update service: snapshot, solve, handoff_wait
+    Scheme, ///< async update service: solve, handoff_wait
     Pool,   ///< sampled parallelFor jobs
     Gemm,   ///< GEMM driver invocations
     Attn,   ///< attention fwd/bwd core invocations
@@ -92,91 +71,53 @@ struct SpanCell
     std::atomic<int64_t> dur_ns{0};
     std::atomic<int> cat{0};
     std::atomic<const char *> name{nullptr};
-    std::atomic<const char *> arg_key[2];
-    std::atomic<int64_t> arg_val[2];
-
-    SpanCell()
-    {
-        arg_key[0].store(nullptr, std::memory_order_relaxed);
-        arg_key[1].store(nullptr, std::memory_order_relaxed);
-        arg_val[0].store(0, std::memory_order_relaxed);
-        arg_val[1].store(0, std::memory_order_relaxed);
-    }
+    std::atomic<const char *> arg_key[2]{};
+    std::atomic<int64_t> arg_val[2]{};
 };
 
-/** One thread's flight recorder. Created on the thread's first span,
- *  registered once, intentionally leaked (a dead thread's spans stay
- *  exportable, and thread_local destruction order stays irrelevant). */
+/** One thread's flight recorder, intentionally leaked (a dead
+ *  thread's spans stay exportable, and thread_local destruction order
+ *  stays irrelevant). */
 struct Ring
 {
     SpanCell cells[kRingCapacity];
     /** Publish ticket of the newest span (1-based; owner-only relaxed
      *  load+store increments, never an RMW). */
     std::atomic<uint64_t> head{0};
-    /** Small stable thread id assigned at registration (1-based). */
-    int tid = 0;
     /** Optional static display name (Perfetto thread_name metadata). */
     std::atomic<const char *> thread_name{nullptr};
 };
 
-/** -1 = unresolved (parse SNIP_TRACE on first use), 0 = off, 1 = on. */
-extern std::atomic<int> g_mode;
+using telemetry::detail::Slot;
 
-int resolveMode();
+/** Allocate the calling thread's ring (registry slow path). */
 Ring &ringSlow();
-
-inline bool
-on()
-{
-    int mode = g_mode.load(std::memory_order_relaxed);
-    if (mode < 0)
-        mode = resolveMode();
-    return mode == 1;
-}
-
-extern thread_local Ring *t_ring;
 
 inline Ring &
 ring()
 {
-    Ring *r = t_ring;
-    return r != nullptr ? *r : ringSlow();
+    Slot *s = telemetry::detail::t_slot;
+    return s != nullptr && s->ring != nullptr ? *s->ring : ringSlow();
 }
 
-} // namespace detail
-
-/** True when tracing is recording (hot-path fast check). */
-inline bool
-enabled()
-{
-    return detail::on();
-}
-
-/** Monotonic nanoseconds since the process's trace epoch (the first
- *  trace query). All span timestamps share this epoch, so spans from
- *  different threads line up on one timeline. */
-int64_t nowNs();
-
-/**
- * Record one complete span on the calling thread's ring. No-op when
- * disabled. @p name and the arg keys must be string literals (or
- * otherwise outlive the process) — the recorder stores the pointers.
- * Zero heap allocations once this thread's ring exists.
- */
+/** Append one span to @p r (owner thread only). */
 inline void
-record(Category cat, const char *name, int64_t ts_ns, int64_t dur_ns,
-       const char *k0 = nullptr, int64_t v0 = 0,
-       const char *k1 = nullptr, int64_t v1 = 0)
+publish(Ring &r, Category cat, const char *name, int64_t ts_ns,
+        int64_t dur_ns, const char *k0, int64_t v0, const char *k1,
+        int64_t v1)
 {
-    if (!detail::on())
-        return;
-    detail::Ring &r = detail::ring();
-    const uint64_t ticket =
-        r.head.load(std::memory_order_relaxed) + 1;
-    detail::SpanCell &c =
+    const uint64_t ticket = r.head.load(std::memory_order_relaxed) + 1;
+    SpanCell &c =
         r.cells[(ticket - 1) % static_cast<uint64_t>(kRingCapacity)];
     // Seqlock publish: invalidate, write fields, stamp, bump head.
     c.seq.store(0, std::memory_order_release);
+    // A release store orders the stores BEFORE it, not the field
+    // stores after it, so without this fence a reader could see new
+    // fields next to the old stamp and accept a torn cell (Boehm, "Can
+    // seqlocks get along with programming language memory models?",
+    // 2012). It pairs with the reader's acquire fence; on x86-64 it
+    // emits no instruction.
+    std::atomic_thread_fence(std::memory_order_release);
     c.ts_ns.store(ts_ns, std::memory_order_relaxed);
     c.dur_ns.store(dur_ns, std::memory_order_relaxed);
     c.cat.store(static_cast<int>(cat), std::memory_order_relaxed);
@@ -189,52 +130,40 @@ record(Category cat, const char *name, int64_t ts_ns, int64_t dur_ns,
     r.head.store(ticket, std::memory_order_release);
 }
 
-/**
- * RAII span: samples the clock only when tracing is enabled and
- * records [construction, destruction) with the args captured at
- * construction. The `armed` overload lets sampled call sites (the
- * thread pool) force-disarm without a second branch structure.
- */
-class TraceScope
+/** The Chrome document over every ring hanging off @p slots (caller
+ *  holds the registry lock that guards the vector). */
+std::string renderChrome(const std::vector<Slot *> &slots);
+
+} // namespace detail
+
+/** True when tracing is recording (hot-path fast check). */
+inline bool
+enabled()
 {
-  public:
-    TraceScope(Category cat, const char *name,
-               const char *k0 = nullptr, int64_t v0 = 0,
-               const char *k1 = nullptr, int64_t v1 = 0)
-        : TraceScope(detail::on(), cat, name, k0, v0, k1, v1)
-    {
-    }
+    return (telemetry::detail::mode() & telemetry::detail::kTraceBit) != 0;
+}
 
-    TraceScope(bool armed, Category cat, const char *name,
-               const char *k0 = nullptr, int64_t v0 = 0,
-               const char *k1 = nullptr, int64_t v1 = 0)
-        : cat_(cat), name_(name), k0_(k0), v0_(v0), k1_(k1), v1_(v1),
-          armed_(armed && detail::on())
-    {
-        if (armed_)
-            t0_ns_ = nowNs();
-    }
+/** Monotonic nanoseconds since the process's trace epoch (the first
+ *  trace query). All span timestamps share this epoch, so spans from
+ *  different threads line up on one timeline. */
+int64_t nowNs();
 
-    ~TraceScope()
-    {
-        if (armed_)
-            record(cat_, name_, t0_ns_, nowNs() - t0_ns_, k0_, v0_,
-                   k1_, v1_);
-    }
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-  private:
-    Category cat_;
-    const char *name_;
-    const char *k0_;
-    int64_t v0_;
-    const char *k1_;
-    int64_t v1_;
-    bool armed_;
-    int64_t t0_ns_ = 0;
-};
+/**
+ * Record one complete span [@p ts_ns, @p ts_ns + @p dur_ns) on the
+ * calling thread's ring; for spans whose start lies in the past (a
+ * Scope covers the rest). No-op when disabled. @p name and the arg
+ * keys must be string literals (or otherwise outlive the process).
+ * Zero heap allocations once this thread's ring exists.
+ */
+inline void
+record(Category cat, const char *name, int64_t ts_ns, int64_t dur_ns,
+       const char *k0 = nullptr, int64_t v0 = 0,
+       const char *k1 = nullptr, int64_t v1 = 0)
+{
+    if (enabled())
+        detail::publish(detail::ring(), cat, name, ts_ns, dur_ns, k0, v0,
+                        k1, v1);
+}
 
 /** Name the calling thread on the exported timeline (Perfetto
  *  thread_name metadata). @p name must be a static string. No-op when
@@ -256,7 +185,8 @@ int64_t spansRecorded();
 
 /** Programmatic configuration (tests, benches); overrides the
  *  environment. Rings are NOT cleared (spans already recorded stay
- *  exportable); the mode flag and sink path are replaced. */
+ *  exportable); the trace bit and sink path are replaced and the
+ *  telemetry bit is left as it was. */
 struct Config
 {
     bool enabled = false;

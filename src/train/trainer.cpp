@@ -2,7 +2,6 @@
 
 #include "runtime/thread_pool.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 #include "tensor/gemm.h"
 #include "util/logging.h"
 
@@ -31,14 +30,14 @@ Trainer::Trainer(const TrainerConfig &config)
 double
 Trainer::trainStep(SnipController *controller)
 {
-    trace::TraceScope step_span(trace::Category::Train, "step", "step",
-                                step_);
+    telemetry::Scope step_span(telemetry::Timer::Step, "step", "step",
+                               step_);
     Batch batch = iter_->next();
     {
         // The apply boundary is a phase of every step, controller or
         // not: a near-zero span here means "nothing adopted".
-        trace::TraceScope span(trace::Category::Train, "scheme_apply",
-                               "step", step_);
+        telemetry::Scope span(telemetry::Timer::SchemeApply,
+                              "scheme_apply", "step", step_);
         if (controller)
             controller->maybeUpdate(*model_, opt_.get(), batch, step_,
                                     &pool());
@@ -46,19 +45,19 @@ Trainer::trainStep(SnipController *controller)
 
     model_->zeroGrad();
     LossResult loss = [&] {
-        trace::TraceScope span(trace::Category::Train, "fwd", "step",
-                               step_);
+        telemetry::Scope span(telemetry::Timer::Fwd, "fwd", "step",
+                              step_);
         return model_->forwardLoss(batch.tokens, batch.targets,
                                    batch.batch, batch.seq);
     }();
     {
-        trace::TraceScope span(trace::Category::Train, "bwd", "step",
-                               step_);
+        telemetry::Scope span(telemetry::Timer::Bwd, "bwd", "step",
+                              step_);
         model_->backward(loss.dlogits);
     }
     {
-        trace::TraceScope span(trace::Category::Train, "optim", "step",
-                               step_);
+        telemetry::Scope span(telemetry::Timer::Optim, "optim", "step",
+                              step_);
         opt_->setLr(lr_.at(step_));
         opt_->step();
     }

@@ -3,12 +3,14 @@
  * Golden numerics: CRC32 digests of short training and serving runs,
  * compared against the checked-in table in golden_digests.h.
  *
- * Each digest is checked at 1, 2 and 8 pool threads on the scalar
- * backend and, when the CPU supports it, the AVX2 backend. A thread
- * count never changes numerics, so every thread count must reproduce
- * the one table entry of its backend. On a mismatch the test prints
- * the table line the current code produces: re-pinning the numerics
- * is a deliberate, visible edit of golden_digests.h.
+ * Each digest is checked at 1, 2 and 8 pool threads with telemetry
+ * and tracing off, and once more at 2 threads with both on (in
+ * memory), on the scalar backend and, when the CPU supports it, the
+ * AVX2 backend. Neither a thread count nor the instruments change
+ * numerics, so every run must reproduce the one table entry of its
+ * backend. On a mismatch the test prints the table line the current
+ * code produces: re-pinning the numerics is a deliberate, visible
+ * edit of golden_digests.h.
  *
  * Workloads:
  *  - train_tiny: tiny_test, adaptive SNIP at a 75% FP4 FLOP target
@@ -78,8 +80,9 @@ tableLine(const std::string &name, const std::string &backend,
 using Digests = std::vector<std::pair<std::string, uint32_t>>;
 
 /**
- * Run @p workload at 1/2/8 threads under every available backend and
- * compare each of its digests with the table.
+ * Run @p workload at 1/2/8 threads, and at 2 threads with telemetry
+ * and tracing on, under every available backend and compare each of
+ * its digests with the table.
  */
 template <typename Workload>
 void
@@ -87,6 +90,12 @@ checkGolden(Workload workload)
 {
     BackendGuard backend_guard;
     GlobalPoolGuard pool_guard;
+    InstrumentGuard instrument_guard;
+    struct Run
+    {
+        int threads;
+        bool instruments;
+    };
     for (const char *backend : {"scalar", "avx2"}) {
         if (!simd::setBackendByName(backend)) {
             ASSERT_STRNE(backend, "scalar");
@@ -94,10 +103,14 @@ checkGolden(Workload workload)
                         backend);
             continue;
         }
-        for (int threads : {1, 2, 8}) {
+        for (const Run run : {Run{1, false}, Run{2, false}, Run{8, false},
+                              Run{2, true}}) {
             SCOPED_TRACE(std::string(backend) + " @ " +
-                         std::to_string(threads) + " threads");
-            runtime::setGlobalThreadCount(threads);
+                         std::to_string(run.threads) + " threads" +
+                         (run.instruments ? ", telemetry + trace on"
+                                          : ""));
+            runtime::setGlobalThreadCount(run.threads);
+            setInstruments(run.instruments);
             for (const auto &[name, crc] : workload()) {
                 const GoldenDigest *g = findGolden(name, backend);
                 const std::string line = tableLine(name, backend, crc);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Telemetry registry contracts: fold determinism across thread counts,
- * zero heap allocations on the warmed hot path (this binary overrides
- * the global allocation operators with counting wrappers, like
+ * Instrumentation registry contracts: spec parsing and the shared mode
+ * word of both sinks, fold determinism across thread counts, zero heap
+ * allocations on the warmed hot path (this binary overrides the global
+ * allocation operators with counting wrappers, like
  * test_workspace.cpp), disabled-mode behavior, and the JSON export.
  */
 #include <gtest/gtest.h>
@@ -13,10 +14,11 @@
 #include <functional>
 #include <new>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "runtime/thread_pool.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 #include "tensor/gemm.h"
 #include "testing_util.h"
 
@@ -136,19 +138,6 @@ allocDelta(const std::function<void()> &fn)
     return g_allocs.load() - before;
 }
 
-/** Restores whatever SNIP_TELEMETRY asks for when a telemetry-
- *  reconfiguring test ends (disabled when the variable is unset). */
-struct TelemetryGuard
-{
-    TelemetryGuard() = default;
-    TelemetryGuard(const TelemetryGuard &) = delete;
-    TelemetryGuard &operator=(const TelemetryGuard &) = delete;
-    ~TelemetryGuard()
-    {
-        telemetry::configureFromSpec(std::getenv("SNIP_TELEMETRY"));
-    }
-};
-
 /** Fixed instrumented workload: per-shape GEMMs on both pipelines, a
  *  strided batch, and bare parallelFor traffic. Every counter it
  *  bumps is a pure function of these shapes, never of the thread
@@ -172,22 +161,69 @@ runWorkload()
 
 TEST(Telemetry, ConfigureFromSpecParsing)
 {
-    TelemetryGuard telem_guard;
-    EXPECT_TRUE(telemetry::configureFromSpec("off"));
-    EXPECT_FALSE(telemetry::enabled());
-    EXPECT_TRUE(telemetry::configureFromSpec("on"));
-    EXPECT_TRUE(telemetry::enabled());
-    EXPECT_TRUE(telemetry::configureFromSpec("json:some_path.json"));
-    EXPECT_TRUE(telemetry::enabled());
-    EXPECT_TRUE(telemetry::configureFromSpec(nullptr)); // unset = off
-    EXPECT_FALSE(telemetry::enabled());
-    EXPECT_FALSE(telemetry::configureFromSpec("bogus"));
-    EXPECT_FALSE(telemetry::configureFromSpec("json:"));
+    InstrumentGuard instrument_guard;
+    // SNIP_TELEMETRY and SNIP_TRACE share one grammar and one parser.
+    struct Knob
+    {
+        const char *name;
+        bool (*configure)(const char *);
+        bool (*enabled)();
+    };
+    struct Case
+    {
+        const char *spec;
+        bool accepted;
+        bool on; // when accepted
+    };
+    for (const Knob &knob :
+         {Knob{"SNIP_TELEMETRY", telemetry::configureFromSpec,
+               telemetry::enabled},
+          Knob{"SNIP_TRACE", trace::configureFromSpec, trace::enabled}}) {
+        for (const Case &c :
+             {Case{"off", true, false}, Case{"on", true, true},
+              Case{"json:some_path.json", true, true},
+              Case{nullptr, true, false}, // unset = off
+              Case{"bogus", false, false}, Case{"json:", false, false}}) {
+            SCOPED_TRACE(std::string(knob.name) + "=" +
+                         (c.spec != nullptr ? c.spec : "<unset>"));
+            EXPECT_EQ(knob.configure(c.spec), c.accepted);
+            if (c.accepted) {
+                EXPECT_EQ(knob.enabled(), c.on);
+            }
+        }
+    }
+}
+
+TEST(Telemetry, ConfiguringOneSinkKeepsTheOtherSinksBit)
+{
+    InstrumentGuard instrument_guard;
+    for (const bool other : {false, true}) {
+        SCOPED_TRACE(other ? "other sink on" : "other sink off");
+        trace::Config rc;
+        rc.enabled = other;
+        trace::configure(rc);
+        for (const bool on : {true, false}) {
+            telemetry::Config tc;
+            tc.enabled = on;
+            telemetry::configure(tc);
+            EXPECT_EQ(telemetry::enabled(), on);
+            EXPECT_EQ(trace::enabled(), other);
+        }
+        telemetry::Config tc;
+        tc.enabled = other;
+        telemetry::configure(tc);
+        for (const bool on : {true, false}) {
+            rc.enabled = on;
+            trace::configure(rc);
+            EXPECT_EQ(trace::enabled(), on);
+            EXPECT_EQ(telemetry::enabled(), other);
+        }
+    }
 }
 
 TEST(Telemetry, FoldDeterminismAcrossThreadCounts)
 {
-    TelemetryGuard telem_guard;
+    InstrumentGuard instrument_guard;
     GlobalPoolGuard pool_guard;
     telemetry::Config cfg;
     cfg.enabled = true;
@@ -221,7 +257,7 @@ TEST(Telemetry, FoldDeterminismAcrossThreadCounts)
 
 TEST(Telemetry, WarmedHotPathAllocatesNothing)
 {
-    TelemetryGuard telem_guard;
+    InstrumentGuard instrument_guard;
     telemetry::Config cfg;
     cfg.enabled = true;
     telemetry::configure(cfg);
@@ -241,7 +277,7 @@ TEST(Telemetry, WarmedHotPathAllocatesNothing)
             telemetry::gaugeSet(telemetry::LastGauge::ArenaReservedBytes,
                                 i);
             telemetry::recordTimer(telemetry::Timer::PoolJob, 1e-7);
-            telemetry::ScopedTimer scoped(telemetry::Timer::Gemm);
+            telemetry::Scope scoped(telemetry::Timer::Gemm, "scoped");
         }
     });
     EXPECT_EQ(allocs, 0);
@@ -249,16 +285,15 @@ TEST(Telemetry, WarmedHotPathAllocatesNothing)
 
 TEST(Telemetry, InstrumentedGemmKeepsZeroAllocContract)
 {
-    TelemetryGuard telem_guard;
+    InstrumentGuard instrument_guard;
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1);
-    telemetry::Config cfg;
-    cfg.enabled = true;
-    telemetry::configure(cfg);
+    setInstruments(true); // telemetry and trace both on
 
     // 64x64x64 packs; 64x48x32 (below 2^18 MACs) stays on the unpacked
-    // kernels. Each shape warms its own arena slab and the telemetry
-    // shard with the same call that is then measured.
+    // kernels. Each shape warms its own arena slab, the telemetry
+    // shard and the span ring with the same call that is then
+    // measured.
     struct Shape
     {
         int64_t m, n, k;
@@ -286,8 +321,8 @@ TEST(Telemetry, InstrumentedGemmKeepsZeroAllocContract)
 
 TEST(Telemetry, DisabledModeIsFree)
 {
-    TelemetryGuard telem_guard;
-    ASSERT_TRUE(telemetry::configureFromSpec("off"));
+    InstrumentGuard instrument_guard;
+    setInstruments(false);
 
     const telemetry::Snapshot before = telemetry::snapshot();
     const int64_t allocs = allocDelta([] {
@@ -297,7 +332,7 @@ TEST(Telemetry, DisabledModeIsFree)
             telemetry::gaugeMax(telemetry::MaxGauge::ArenaHighWaterBytes,
                                 1 << 30);
             telemetry::recordTimer(telemetry::Timer::Gemm, 1.0);
-            telemetry::ScopedTimer scoped(telemetry::Timer::Gemm);
+            telemetry::Scope scoped(telemetry::Timer::Gemm, "off");
         }
     });
     const telemetry::Snapshot after = telemetry::snapshot();
@@ -310,7 +345,7 @@ TEST(Telemetry, DisabledModeIsFree)
 
 TEST(Telemetry, StepBoundaryAndJsonExport)
 {
-    TelemetryGuard telem_guard;
+    InstrumentGuard instrument_guard;
     GlobalPoolGuard pool_guard;
     const std::string path = "test_telemetry_out.json";
     std::remove(path.c_str());
@@ -348,7 +383,7 @@ TEST(Telemetry, StepBoundaryAndJsonExport)
 
 TEST(Telemetry, SummaryCoversSubsystems)
 {
-    TelemetryGuard telem_guard;
+    InstrumentGuard instrument_guard;
     telemetry::Config cfg;
     cfg.enabled = true;
     telemetry::configure(cfg);

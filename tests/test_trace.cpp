@@ -6,7 +6,8 @@
  * traced decode step) performs zero heap allocations (this binary
  * overrides the global allocation operators with counting wrappers,
  * like test_workspace.cpp), and SNIP_TRACE=off leaves training
- * bit-identical across thread counts.
+ * bit-identical across thread counts (test_golden pins the traced
+ * runs).
  */
 #include <gtest/gtest.h>
 
@@ -143,19 +144,6 @@ allocDelta(const std::function<void()> &fn)
     return g_allocs.load() - before;
 }
 
-/** Restores whatever SNIP_TRACE asks for when a trace-reconfiguring
- *  test ends (disabled when the variable is unset). */
-struct TraceGuard
-{
-    TraceGuard() = default;
-    TraceGuard(const TraceGuard &) = delete;
-    TraceGuard &operator=(const TraceGuard &) = delete;
-    ~TraceGuard()
-    {
-        trace::configureFromSpec(std::getenv("SNIP_TRACE"));
-    }
-};
-
 ModelConfig
 microModel()
 {
@@ -186,24 +174,9 @@ cacheConfigFor(const ModelConfig &m, int64_t max_seqs)
     return kc;
 }
 
-TEST(Trace, ConfigureFromSpecParsing)
-{
-    TraceGuard trace_guard;
-    EXPECT_TRUE(trace::configureFromSpec("off"));
-    EXPECT_FALSE(trace::enabled());
-    EXPECT_TRUE(trace::configureFromSpec("on"));
-    EXPECT_TRUE(trace::enabled());
-    EXPECT_TRUE(trace::configureFromSpec("json:some_path.json"));
-    EXPECT_TRUE(trace::enabled());
-    EXPECT_TRUE(trace::configureFromSpec(nullptr)); // unset = off
-    EXPECT_FALSE(trace::enabled());
-    EXPECT_FALSE(trace::configureFromSpec("bogus"));
-    EXPECT_FALSE(trace::configureFromSpec("json:"));
-}
-
 TEST(Trace, RingWraparoundKeepsNewestSpans)
 {
-    TraceGuard trace_guard;
+    InstrumentGuard instrument_guard;
     trace::Config cfg;
     cfg.enabled = true;
     trace::configure(cfg);
@@ -229,7 +202,7 @@ TEST(Trace, RingWraparoundKeepsNewestSpans)
 
 TEST(Trace, JsonExportIsWellFormedAndNonEmpty)
 {
-    TraceGuard trace_guard;
+    InstrumentGuard instrument_guard;
     const std::string path = "test_trace_out.json";
     std::remove(path.c_str());
 
@@ -238,10 +211,10 @@ TEST(Trace, JsonExportIsWellFormedAndNonEmpty)
     ASSERT_TRUE(trace::configureFromSpec(("json:" + path).c_str()));
 
     {
-        trace::TraceScope outer(trace::Category::Train, "export_outer",
-                                "step", 7);
-        trace::TraceScope inner(trace::Category::Serve, "export_inner",
-                                "id", 3, "tokens", 11);
+        telemetry::Scope outer(telemetry::Timer::Step, "export_outer",
+                               "step", 7);
+        telemetry::Scope inner(telemetry::Timer::Prefill, "export_inner",
+                               "id", 3, "tokens", 11);
     }
     trace::setCurrentThreadName("trace-test");
     ASSERT_TRUE(trace::flush());
@@ -269,7 +242,7 @@ TEST(Trace, JsonExportIsWellFormedAndNonEmpty)
 
 TEST(Trace, WarmedHotPathAllocatesNothing)
 {
-    TraceGuard trace_guard;
+    InstrumentGuard instrument_guard;
     trace::Config cfg;
     cfg.enabled = true;
     trace::configure(cfg);
@@ -282,8 +255,8 @@ TEST(Trace, WarmedHotPathAllocatesNothing)
         for (int i = 0; i < 20000; ++i) {
             trace::record(trace::Category::Gemm, "hot", i, 1, "m", i,
                           "n", i);
-            trace::TraceScope scoped(trace::Category::Pool, "scoped",
-                                     "n", i);
+            telemetry::Scope scoped(telemetry::Timer::PoolJob, "scoped",
+                                    "n", i);
         }
     });
     EXPECT_EQ(allocs, 0);
@@ -291,7 +264,7 @@ TEST(Trace, WarmedHotPathAllocatesNothing)
 
 TEST(Trace, WarmedTracedDecodeStepPerformsZeroHeapAllocations)
 {
-    TraceGuard trace_guard;
+    InstrumentGuard instrument_guard;
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1); // inline path: no pool Jobs
 
@@ -342,15 +315,15 @@ TEST(Trace, WarmedTracedDecodeStepPerformsZeroHeapAllocations)
 
 TEST(Trace, DisabledModeIsFree)
 {
-    TraceGuard trace_guard;
-    ASSERT_TRUE(trace::configureFromSpec("off"));
+    InstrumentGuard instrument_guard;
+    setInstruments(false);
 
     const int64_t spans_before = trace::spansRecorded();
     const int64_t allocs = allocDelta([] {
         for (int i = 0; i < 1000; ++i) {
             trace::record(trace::Category::Serve, "off_probe", i, 1);
-            trace::TraceScope scoped(trace::Category::Serve,
-                                     "off_scoped");
+            telemetry::Scope scoped(telemetry::Timer::DecodeStep,
+                                    "off_scoped");
         }
     });
     EXPECT_EQ(allocs, 0);
@@ -359,7 +332,7 @@ TEST(Trace, DisabledModeIsFree)
 
 TEST(Trace, OffModeTrainingBitIdenticalAcrossThreadCounts)
 {
-    TraceGuard trace_guard;
+    InstrumentGuard instrument_guard;
     GlobalPoolGuard pool_guard;
     ASSERT_TRUE(trace::configureFromSpec("off"));
 
@@ -377,15 +350,6 @@ TEST(Trace, OffModeTrainingBitIdenticalAcrossThreadCounts)
                 << " threads";
     }
     ASSERT_FALSE(ref.empty());
-
-    // Tracing observes, never steers: the traced run reproduces the
-    // same bits (the spans only watch the phases).
-    runtime::setGlobalThreadCount(2);
-    trace::Config on;
-    on.enabled = true;
-    trace::configure(on);
-    Trainer traced(cfg);
-    EXPECT_EQ(traced.train(6), ref);
 }
 
 } // namespace
