@@ -2,10 +2,7 @@
 
 #include <cstring>
 
-#include "quant/scaling.h"
 #include "runtime/workspace_arena.h"
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -125,11 +122,11 @@ Linear::forwardInference(const float *x, int64_t rows, float *y)
         return;
     }
 
-    // Quantize the activation rows into arena scratch, replicating
-    // FakeQuantizer::quantizeInPlace exactly for the row-local
-    // granularities (a decode row must quantize identically to the
-    // same row inside a full-sequence activation, which only holds
-    // when no region spans rows).
+    // Quantize the activation rows into arena scratch with the
+    // quantizer's own region sweep, serially on this thread. A decode
+    // row must quantize identically to the same row inside a
+    // full-sequence activation, which only holds when no region spans
+    // rows.
     SNIP_ASSERT(xp.cfg.rounding == Rounding::Nearest,
                 "stochastic-rounding activations are training-only (",
                 name_, ")");
@@ -138,31 +135,14 @@ Linear::forwardInference(const float *x, int64_t rows, float *y)
                     gran == Granularity::Rowwise,
                 "inference needs row-local activation scaling (", name_,
                 " uses ", granularityName(gran), ")");
-    const int64_t nb =
-        gran == Granularity::Tilewise
-            ? std::max<int64_t>(1, xp.cfg.scaling.block)
-            : in;
-    const simd::KernelTable &kt = simd::activeKernels();
-    const QuantGrid grid = quantGrid(xp.cfg.format);
-    const double fmt_max = xp.cfg.format.maxValue();
-
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
     runtime::ArenaScope scope(arena);
     float *xq = arena.getFloats(static_cast<size_t>(rows * in));
     std::memcpy(xq, x, static_cast<size_t>(rows * in) * sizeof(float));
-    for (int64_t r = 0; r < rows; ++r) {
-        float *row = xq + r * in;
-        for (int64_t c0 = 0; c0 < in; c0 += nb) {
-            const int64_t len = std::min(nb, in - c0);
-            const double max_abs =
-                static_cast<double>(kt.maxAbs(row + c0, len));
-            const double scale = regionScale(max_abs, fmt_max);
-            kt.quantizeNearest(row + c0, len, xp.cfg.format, grid,
-                               static_cast<float>(scale),
-                               static_cast<float>(1.0 / scale));
-        }
-    }
+    const RegionSweep sweep(xq, RegionGrid(rows, in, xp.cfg.scaling),
+                            xp.cfg, /*call_key=*/0);
+    sweep.run(0, sweep.regions.count());
     gemmNT(xq, w.data(), y, rows, out, in);
 }
 

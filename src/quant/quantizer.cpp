@@ -113,6 +113,40 @@ rolePolicy(Precision precision, TensorRole role)
     return cfg;
 }
 
+RegionSweep::RegionSweep(float *p, const RegionGrid &regions,
+                         const QuantConfig &cfg, uint64_t call_key)
+    : p(p), regions(regions), cfg(&cfg), grid(quantGrid(cfg.format)),
+      fmt_max(cfg.format.maxValue()), call_key(call_key)
+{
+}
+
+void
+RegionSweep::run(int64_t g0, int64_t g1) const
+{
+    const simd::KernelTable &kt = simd::activeKernels();
+    const int64_t cols = regions.cols();
+    for (int64_t g = g0; g < g1; ++g) {
+        const RegionGrid::Bounds b = regions.bounds(g);
+        const RegionScale s = measureRegion(kt, p, cols, b, fmt_max);
+        if (cfg->rounding != Rounding::Stochastic) {
+            for (int64_t r = b.r0; r < b.r1; ++r)
+                kt.quantizeNearest(p + r * cols + b.c0, b.c1 - b.c0,
+                                   cfg->format, grid, s.scale, s.inv);
+            continue;
+        }
+        Rng region_rng(call_key + 0x9E3779B97F4A7C15ull *
+                                      (static_cast<uint64_t>(g) + 1));
+        for (int64_t r = b.r0; r < b.r1; ++r) {
+            float *row = p + r * cols;
+            for (int64_t c = b.c0; c < b.c1; ++c) {
+                row[c] = quantizeValue(row[c] * s.scale, cfg->format,
+                                       cfg->rounding, &region_rng) *
+                         s.inv;
+            }
+        }
+    }
+}
+
 FakeQuantizer::FakeQuantizer(uint64_t seed) : rng_(seed) {}
 
 Tensor
@@ -126,11 +160,11 @@ FakeQuantizer::quantize(const Tensor &t, const QuantConfig &cfg)
 void
 FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
 {
-    const simd::KernelTable &kt = simd::activeKernels();
     if (cfg.format.name == "bf16" && cfg.rounding == Rounding::Nearest) {
         // Fast path: bf16 needs no rescaling, so the whole tensor is
         // one tight round-to-nearest-even sweep (exact bit
         // manipulation in every backend).
+        const simd::KernelTable &kt = simd::activeKernels();
         float *p = t.data();
         runtime::parallelFor(0, t.numel(), 1 << 15,
                              [p, &kt](int64_t i0, int64_t i1) {
@@ -142,65 +176,19 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
     matrixView(t, rows, cols);
     if (rows == 0 || cols == 0)
         return;
-    float *p = t.data();
-    const double fmt_max = cfg.format.maxValue();
-    const bool stochastic = cfg.rounding == Rounding::Stochastic;
     // Stochastic rounding draws from one per-region stream seeded by
     // (call key, region index): the member stream advances exactly once
     // per call (so repeated calls remain one deterministic sequence)
     // and every region's draws are independent of how regions are
     // scheduled across threads — results are bit-identical for any
-    // thread count.
-    const uint64_t call_key = stochastic ? rng_.nextU64() : 0;
-
-    const std::vector<ScalingRegion> regions =
-        collectRegions(rows, cols, cfg.scaling);
-    const QuantGrid grid = quantGrid(cfg.format);
-    runtime::parallelFor(
-        0, static_cast<int64_t>(regions.size()), 8,
-        [&](int64_t g0, int64_t g1) {
-            const simd::KernelTable &kt = simd::activeKernels();
-            for (int64_t g = g0; g < g1; ++g) {
-                const ScalingRegion &reg =
-                    regions[static_cast<size_t>(g)];
-                double max_abs = 0.0;
-                for (int64_t r = reg.r0; r < reg.r1; ++r) {
-                    max_abs = std::max(
-                        max_abs, static_cast<double>(kt.maxAbs(
-                                     p + r * cols + reg.c0,
-                                     reg.c1 - reg.c0)));
-                }
-                const double scale = regionScale(max_abs, fmt_max);
-                const float fscale = static_cast<float>(scale);
-                const float inv = static_cast<float>(1.0 / scale);
-                if (!stochastic) {
-                    // Nearest rounding takes the vectorized grid-snap
-                    // kernel (bit-exact across backends).
-                    for (int64_t r = reg.r0; r < reg.r1; ++r) {
-                        kt.quantizeNearest(p + r * cols + reg.c0,
-                                           reg.c1 - reg.c0, cfg.format,
-                                           grid, fscale, inv);
-                    }
-                    continue;
-                }
-                // Stochastic rounding stays scalar: the per-region RNG
-                // stream consumes one draw per element in row-major
-                // order, and that sequence is part of the determinism
-                // contract.
-                Rng region_rng(call_key +
-                               0x9E3779B97F4A7C15ull *
-                                   (static_cast<uint64_t>(g) + 1));
-                for (int64_t r = reg.r0; r < reg.r1; ++r) {
-                    float *row = p + r * cols;
-                    for (int64_t c = reg.c0; c < reg.c1; ++c) {
-                        row[c] = quantizeValue(row[c] * fscale,
-                                               cfg.format, cfg.rounding,
-                                               &region_rng) *
-                                 inv;
-                    }
-                }
-            }
-        });
+    // thread count. The pool runs a lambda that captures only a pointer
+    // to the sweep, so a warmed call allocates nothing.
+    const RegionSweep sweep(
+        t.data(), RegionGrid(rows, cols, cfg.scaling), cfg,
+        cfg.rounding == Rounding::Stochastic ? rng_.nextU64() : 0);
+    const RegionSweep *ps = &sweep;
+    runtime::parallelFor(0, sweep.regions.count(), 8,
+                         [ps](int64_t g0, int64_t g1) { ps->run(g0, g1); });
 }
 
 } // namespace snip

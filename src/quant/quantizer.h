@@ -68,6 +68,32 @@ void setFp4GradRounding(Rounding rounding);
 Rounding fp4GradRounding();
 
 /**
+ * Fake quantization of one row-major matrix in place, region by
+ * region: run(g0, g1) measures regions [g0, g1) of @p regions
+ * (measureRegion()) and quantizes them under @p cfg, serially on the
+ * calling thread. Nearest rounding takes the vectorized grid-snap
+ * kernel (bit-exact across backends). Stochastic rounding stays
+ * scalar: region g draws from a stream seeded by (@p call_key, g), one
+ * draw per element in row-major order, and that sequence is part of
+ * the determinism contract. FakeQuantizer fans run() out over the
+ * thread pool; inference Linear calls it directly.
+ */
+struct RegionSweep
+{
+    RegionSweep(float *p, const RegionGrid &regions, const QuantConfig &cfg,
+                uint64_t call_key);
+
+    void run(int64_t g0, int64_t g1) const;
+
+    float *p;
+    RegionGrid regions;
+    const QuantConfig *cfg;
+    QuantGrid grid;
+    double fmt_max;
+    uint64_t call_key;
+};
+
+/**
  * Applies quantize-dequantize to tensors.
  *
  * Owns the Rng seeding stochastic rounding so repeated calls advance

@@ -1,5 +1,8 @@
 #include "quant/scaling.h"
 
+#include "runtime/thread_pool.h"
+#include "simd/kernels.h"
+
 namespace snip {
 
 const char *
@@ -20,47 +23,32 @@ granularityName(Granularity g)
     return "?";
 }
 
-void
-forEachRegion(
-    int64_t rows, int64_t cols, const ScalingSpec &spec,
-    const std::function<void(int64_t, int64_t, int64_t, int64_t)> &fn)
+RegionGrid::RegionGrid(int64_t rows, int64_t cols, const ScalingSpec &spec)
+    : rows_(rows), cols_(cols), rb_(rows), cb_(cols)
 {
     const int64_t nb = std::max<int64_t>(1, spec.block);
     switch (spec.granularity) {
         case Granularity::Tensorwise:
-            fn(0, rows, 0, cols);
             break;
         case Granularity::Rowwise:
-            for (int64_t r = 0; r < rows; ++r)
-                fn(r, r + 1, 0, cols);
+            rb_ = 1;
             break;
         case Granularity::Columnwise:
-            for (int64_t c = 0; c < cols; ++c)
-                fn(0, rows, c, c + 1);
+            cb_ = 1;
             break;
         case Granularity::Blockwise:
-            for (int64_t r = 0; r < rows; r += nb)
-                for (int64_t c = 0; c < cols; c += nb)
-                    fn(r, std::min(r + nb, rows), c, std::min(c + nb, cols));
+            rb_ = nb;
+            cb_ = nb;
             break;
         case Granularity::Tilewise:
-            for (int64_t r = 0; r < rows; ++r)
-                for (int64_t c = 0; c < cols; c += nb)
-                    fn(r, r + 1, c, std::min(c + nb, cols));
+            rb_ = 1;
+            cb_ = nb;
             break;
     }
-}
-
-std::vector<ScalingRegion>
-collectRegions(int64_t rows, int64_t cols, const ScalingSpec &spec)
-{
-    std::vector<ScalingRegion> regions;
-    regions.reserve(static_cast<size_t>(scaleCount(rows, cols, spec)));
-    forEachRegion(rows, cols, spec,
-                  [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-                      regions.push_back({r0, r1, c0, c1});
-                  });
-    return regions;
+    rb_ = std::max<int64_t>(1, std::min(rb_, rows));
+    cb_ = std::max<int64_t>(1, std::min(cb_, cols));
+    bands_ = (rows + rb_ - 1) / rb_;
+    per_band_ = (cols + cb_ - 1) / cb_;
 }
 
 double
@@ -71,24 +59,50 @@ regionScale(double max_abs, double fmt_max)
     return fmt_max / max_abs;
 }
 
-int64_t
-scaleCount(int64_t rows, int64_t cols, const ScalingSpec &spec)
+RegionScale
+measureRegion(const simd::KernelTable &kt, const float *p, int64_t ld,
+              const RegionGrid::Bounds &b, double fmt_max)
 {
-    const int64_t nb = std::max<int64_t>(1, spec.block);
-    auto ceil_div = [](int64_t a, int64_t b) { return (a + b - 1) / b; };
-    switch (spec.granularity) {
-        case Granularity::Tensorwise:
-            return 1;
-        case Granularity::Rowwise:
-            return rows;
-        case Granularity::Columnwise:
-            return cols;
-        case Granularity::Blockwise:
-            return ceil_div(rows, nb) * ceil_div(cols, nb);
-        case Granularity::Tilewise:
-            return rows * ceil_div(cols, nb);
-    }
-    return 0;
+    double max_abs = 0.0;
+    for (int64_t r = b.r0; r < b.r1; ++r)
+        max_abs = std::max(max_abs, static_cast<double>(kt.maxAbs(
+                                        p + r * ld + b.c0, b.c1 - b.c0)));
+    const double scale = regionScale(max_abs, fmt_max);
+    return {static_cast<float>(scale), static_cast<float>(1.0 / scale)};
+}
+
+namespace {
+
+/** One computeRegionScales() call (the parallelFor lambda captures
+ *  only a pointer to this, so the call allocates nothing). */
+struct ScaleCtx
+{
+    const simd::KernelTable *kt;
+    const float *p;
+    const RegionGrid *grid;
+    double fmt_max;
+    float *scale;
+    float *inv;
+};
+
+} // namespace
+
+void
+computeRegionScales(const simd::KernelTable &kt, const float *p,
+                    const RegionGrid &grid, double fmt_max, float *scale,
+                    float *inv)
+{
+    const ScaleCtx ctx{&kt, p, &grid, fmt_max, scale, inv};
+    const ScaleCtx *pc = &ctx;
+    runtime::parallelFor(0, grid.count(), 8, [pc](int64_t g0, int64_t g1) {
+        for (int64_t i = g0; i < g1; ++i) {
+            const RegionScale s =
+                measureRegion(*pc->kt, pc->p, pc->grid->cols(),
+                              pc->grid->bounds(i), pc->fmt_max);
+            pc->scale[i] = s.scale;
+            pc->inv[i] = s.inv;
+        }
+    });
 }
 
 void

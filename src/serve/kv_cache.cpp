@@ -260,17 +260,14 @@ KvCache::encodeRow(int64_t page, int64_t kv, int64_t tok,
             config_.n_kv_heads;
     for (int64_t h = 0; h < config_.n_kv_heads; ++h) {
         const float *block = src + h * hd;
-        // One scale per (token, kv-head) head_dim block — the same
-        // max-abs/rescale recipe FakeQuantizer applies to a tile.
-        const double max_abs =
-            static_cast<double>(kt.maxAbs(block, hd));
-        const double scale = regionScale(max_abs, fmt_max);
-        const float fscale = static_cast<float>(scale);
-        const float inv = static_cast<float>(1.0 / scale);
-        inv_out[h] = inv;
+        // One scale per (token, kv-head) head_dim block — the region
+        // scale recipe FakeQuantizer applies to a tile.
+        const RegionScale s =
+            measureRegion(kt, block, hd, {0, 1, 0, hd}, fmt_max);
+        inv_out[h] = s.inv;
         for (int64_t i = 0; i < hd; ++i)
             out[h * hd + i] =
-                encodeE4m3(quantizeNearest(block[i] * fscale, fmt));
+                encodeE4m3(quantizeNearest(block[i] * s.scale, fmt));
     }
 }
 

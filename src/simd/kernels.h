@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "quant/codec.h"
+#include "quant/scaling.h"
 
 namespace snip {
 namespace simd {
@@ -55,14 +56,14 @@ packStrips(int64_t extent, int64_t strip)
  * Fused quantize-on-pack parameters: the grid-snap (nearest-rounding)
  * quantizer applied to every element as it is copied into a packed
  * panel, so no quantized tensor copy is ever materialized. Scales are
- * per scaling region of the SOURCE matrix (quant/scaling.h geometry):
- * the region of source element (r, c) is
- *     (r / row_block) * regions_per_row + c / col_block
- * and the caller precomputes scale[] / inv_scale[] exactly as the
- * materializing quantizer would, so fused and materialized results are
- * bit-identical (both backends' grid snap already is). Stochastic
- * rounding is NOT fusable (its RNG stream consumes draws in row-major
- * region order); callers materialize those operands first.
+ * per scaling region of the SOURCE matrix: source element (r, c) takes
+ * scale[regions.index(r, c)], and the caller fills scale[] /
+ * inv_scale[] with computeRegionScales() (quant/scaling.h) — the
+ * materializing quantizer's own recipe and region order — so fused and
+ * materialized results are bit-identical (both backends' grid snap
+ * already is). Stochastic rounding is NOT fusable (its RNG stream
+ * consumes draws in row-major region order); callers materialize those
+ * operands first.
  */
 struct PackQuant
 {
@@ -70,9 +71,7 @@ struct PackQuant
     const QuantGrid *grid = nullptr;
     const float *scale = nullptr;
     const float *inv_scale = nullptr;
-    int64_t row_block = 0;
-    int64_t col_block = 0;
-    int64_t regions_per_row = 0;
+    RegionGrid regions;
 };
 
 /**

@@ -243,8 +243,7 @@ packQuantOneAvx2(float x, const PackQuant *pq, int64_t sr, int64_t sc)
 {
     if (pq == nullptr)
         return x;
-    const int64_t reg = (sr / pq->row_block) * pq->regions_per_row +
-                        sc / pq->col_block;
+    const int64_t reg = pq->regions.index(sr, sc);
     return quantizeNearest(x * pq->scale[reg], *pq->fmt) *
            pq->inv_scale[reg];
 }
@@ -267,13 +266,11 @@ packRowAvx2(const float *row, float *dst, int64_t stride, int64_t r,
         return;
     }
     const QuantGrid &g = *pq->grid;
-    const int64_t reg_row =
-        (src_row / pq->row_block) * pq->regions_per_row;
+    const int64_t reg_row = pq->regions.bandStart(src_row);
     int64_t kk = 0;
     while (kk < k) {
-        const int64_t reg = reg_row + kk / pq->col_block;
-        const int64_t seg_end =
-            std::min(k, (kk / pq->col_block + 1) * pq->col_block);
+        const int64_t reg = reg_row + pq->regions.colSlot(kk);
+        const int64_t seg_end = pq->regions.colEnd(kk);
         const __m256 vs = _mm256_set1_ps(pq->scale[reg]);
         const __m256 vi = _mm256_set1_ps(pq->inv_scale[reg]);
         for (; kk + 8 <= seg_end; kk += 8) {
@@ -314,16 +311,12 @@ packAAvx2(const float *src, int64_t ld, bool k_major, float *ap,
             int64_t reg_of_row[6];
             if (pq != nullptr)
                 for (int64_t r = 0; r < 6; ++r)
-                    reg_of_row[r] = ((i0 + s * kGemmPackMR + r) /
-                                     pq->row_block) *
-                                    pq->regions_per_row;
+                    reg_of_row[r] = pq->regions.bandStart(
+                        i0 + s * kGemmPackMR + r);
             int64_t kk = 0;
             while (kk < k) {
                 const int64_t seg_end =
-                    pq == nullptr
-                        ? k
-                        : std::min(k, (kk / pq->col_block + 1) *
-                                          pq->col_block);
+                    pq == nullptr ? k : pq->regions.colEnd(kk);
                 const int64_t vec_end =
                     kk + ((seg_end - kk) & ~int64_t{7});
                 for (; kk < vec_end; kk += 8) {
@@ -332,7 +325,7 @@ packAAvx2(const float *src, int64_t ld, bool k_major, float *ap,
                         __m256 v = _mm256_loadu_ps(r0 + r * ld + kk);
                         if (pq != nullptr) {
                             const int64_t reg =
-                                reg_of_row[r] + kk / pq->col_block;
+                                reg_of_row[r] + pq->regions.colSlot(kk);
                             v = _mm256_mul_ps(
                                 quantize8Avx2(
                                     _mm256_mul_ps(
@@ -363,8 +356,8 @@ packAAvx2(const float *src, int64_t ld, bool k_major, float *ap,
         const int64_t i0s = i0 + s * kGemmPackMR;
         if (k_major && rows == kGemmPackMR && i0s + 8 <= ld &&
             (pq == nullptr ||
-             i0s / pq->col_block == (i0s + kGemmPackMR - 1) /
-                                        pq->col_block)) {
+             pq->regions.colSlot(i0s) ==
+                 pq->regions.colSlot(i0s + kGemmPackMR - 1))) {
             // TN gather, full strip: the strip's 6 source columns are
             // contiguous per source row, so each kk is one (8-wide,
             // 6-valid) load + vector quantize + 6-lane masked store.
@@ -381,11 +374,10 @@ packAAvx2(const float *src, int64_t ld, bool k_major, float *ap,
                         _mm256_loadu_ps(src + kk * ld + i0s));
             } else {
                 const QuantGrid &g = *pq->grid;
-                const int64_t reg_col = i0s / pq->col_block;
+                const int64_t reg_col = pq->regions.colSlot(i0s);
                 for (int64_t kk = 0; kk < k; ++kk) {
                     const int64_t reg =
-                        (kk / pq->row_block) * pq->regions_per_row +
-                        reg_col;
+                        pq->regions.bandStart(kk) + reg_col;
                     __m256 v = _mm256_mul_ps(
                         _mm256_loadu_ps(src + kk * ld + i0s),
                         _mm256_set1_ps(pq->scale[reg]));
@@ -501,16 +493,13 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
             // Source rows run along j: 16 contiguous floats per kk.
             const bool full = cols == kGemmPackNR;
             const bool one_region =
-                pq == nullptr ||
-                s0 / pq->col_block ==
-                    (s0 + cols - 1) / pq->col_block;
+                pq == nullptr || pq->regions.colSlot(s0) ==
+                                     pq->regions.colSlot(s0 + cols - 1);
             for (int64_t kk = 0; kk < k; ++kk) {
                 const float *in = src + kk * ld + s0;
                 float *out = dst + kk * kGemmPackNR;
                 if (full && one_region && pq != nullptr) {
-                    const int64_t reg =
-                        (kk / pq->row_block) * pq->regions_per_row +
-                        s0 / pq->col_block;
+                    const int64_t reg = pq->regions.index(kk, s0);
                     const __m256 vs = _mm256_set1_ps(pq->scale[reg]);
                     const __m256 vi =
                         _mm256_set1_ps(pq->inv_scale[reg]);
@@ -559,19 +548,17 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
                 }
                 int64_t reg_of_row[8];
                 for (int64_t r = 0; r < 8; ++r)
-                    reg_of_row[r] = ((s0 + half * 8 + r) /
-                                     pq->row_block) *
-                                    pq->regions_per_row;
+                    reg_of_row[r] =
+                        pq->regions.bandStart(s0 + half * 8 + r);
                 int64_t kk = 0;
                 while (kk < k) {
-                    const int64_t seg_end = std::min(
-                        k, (kk / pq->col_block + 1) * pq->col_block);
+                    const int64_t seg_end = pq->regions.colEnd(kk);
                     const int64_t vec_end =
                         kk + ((seg_end - kk) & ~int64_t{7});
                     packHalfStripTransposed(hsrc, ld, dst, half * 8,
                                             kk, vec_end, pq,
                                             reg_of_row,
-                                            kk / pq->col_block);
+                                            pq->regions.colSlot(kk));
                     for (int64_t t = vec_end; t < seg_end; ++t)
                         for (int64_t r = 0; r < 8; ++r)
                             dst[t * kGemmPackNR + half * 8 + r] =

@@ -93,8 +93,7 @@ packQuantOne(float x, const PackQuant *pq, int64_t sr, int64_t sc)
 {
     if (pq == nullptr)
         return x;
-    const int64_t reg = (sr / pq->row_block) * pq->regions_per_row +
-                        sc / pq->col_block;
+    const int64_t reg = pq->regions.index(sr, sc);
     return quantizeNearest(x * pq->scale[reg], *pq->fmt) *
            pq->inv_scale[reg];
 }

@@ -90,96 +90,11 @@ gemmBlockedLegacy(simd::GemmBlockFn block_fn, const float *a,
 
 // ---------------------------------------------- fused-quant plumbing
 
-/** Region grid of a scaling spec on a rows x cols source matrix;
- *  mirrors forEachRegion() (quant/scaling.cpp) exactly. */
-struct RegionGeom
-{
-    int64_t rb, cb;  ///< region edge in rows / cols
-    int64_t nrr, ncr; ///< region-grid extents
-};
-
-RegionGeom
-regionGeom(int64_t rows, int64_t cols, const ScalingSpec &spec)
-{
-    const int64_t nb = std::max<int64_t>(1, spec.block);
-    RegionGeom g{rows, cols, 1, 1};
-    switch (spec.granularity) {
-        case Granularity::Tensorwise:
-            break;
-        case Granularity::Rowwise:
-            g.rb = 1;
-            break;
-        case Granularity::Columnwise:
-            g.cb = 1;
-            break;
-        case Granularity::Blockwise:
-            g.rb = nb;
-            g.cb = nb;
-            break;
-        case Granularity::Tilewise:
-            g.rb = 1;
-            g.cb = nb;
-            break;
-    }
-    g.rb = std::max<int64_t>(1, std::min(g.rb, rows));
-    g.cb = std::max<int64_t>(1, std::min(g.cb, cols));
-    g.nrr = (rows + g.rb - 1) / g.rb;
-    g.ncr = (cols + g.cb - 1) / g.cb;
-    return g;
-}
-
-struct ScaleCtx
-{
-    const simd::KernelTable *kt;
-    const float *p;
-    int64_t rows, cols;
-    RegionGeom geom;
-    double fmt_max;
-    float *scale;
-    float *inv;
-};
-
-/**
- * Per-region scale pass: the same max-|x| reduction and float
- * narrowing the materializing quantizer performs (quant/quantizer.cpp),
- * so fused quantize-on-pack is bit-identical to quantize-then-pack.
- * Regions are independent, so any parallel partition is deterministic.
- */
-void
-computeRegionScales(const simd::KernelTable &kt, const float *p,
-                    int64_t rows, int64_t cols, const RegionGeom &geom,
-                    double fmt_max, float *scale, float *inv)
-{
-    ScaleCtx ctx{&kt, p, rows, cols, geom, fmt_max, scale, inv};
-    const ScaleCtx *pc = &ctx;
-    runtime::parallelFor(
-        0, geom.nrr * geom.ncr, 8, [pc](int64_t g0, int64_t g1) {
-            const RegionGeom &g = pc->geom;
-            for (int64_t reg = g0; reg < g1; ++reg) {
-                const int64_t r0 = (reg / g.ncr) * g.rb;
-                const int64_t r1 = std::min(pc->rows, r0 + g.rb);
-                const int64_t c0 = (reg % g.ncr) * g.cb;
-                const int64_t c1 = std::min(pc->cols, c0 + g.cb);
-                double max_abs = 0.0;
-                for (int64_t r = r0; r < r1; ++r) {
-                    max_abs = std::max(
-                        max_abs,
-                        static_cast<double>(pc->kt->maxAbs(
-                            pc->p + r * pc->cols + c0, c1 - c0)));
-                }
-                const double s = regionScale(max_abs, pc->fmt_max);
-                pc->scale[reg] = static_cast<float>(s);
-                pc->inv[reg] = static_cast<float>(1.0 / s);
-            }
-        });
-}
-
 /** A fully-resolved fused-quant operand: grid constants plus bound
  *  scale buffers. pq points into this object — never copy it. */
 struct OperandQuant
 {
     QuantGrid grid;
-    const QuantConfig *cfg = nullptr;
     simd::PackQuant pq;
 
     OperandQuant() = default;
@@ -187,37 +102,34 @@ struct OperandQuant
     OperandQuant &operator=(const OperandQuant &) = delete;
 };
 
+/** Bind @p oq to (@p cfg, @p regions) and scale buffers that already
+ *  hold the operand's region scales. */
+void
+bindOperandQuant(OperandQuant &oq, const QuantConfig &cfg,
+                 const RegionGrid &regions, const float *scale,
+                 const float *inv)
+{
+    oq.grid = quantGrid(cfg.format);
+    oq.pq = {&cfg.format, &oq.grid, scale, inv, regions};
+}
+
 /** Bind @p oq to (source, cfg), computing scales into the caller's
- *  buffers (arena or cache vectors). */
+ *  buffers (arena or cache vectors) with the materializing quantizer's
+ *  recipe, so fused quantize-on-pack is bit-identical to
+ *  quantize-then-pack. */
 void
 setupOperandQuant(OperandQuant &oq, const simd::KernelTable &kt,
-                  const QuantConfig &cfg, const float *src, int64_t rows,
-                  int64_t cols, float *scale, float *inv)
+                  const QuantConfig &cfg, const float *src,
+                  const RegionGrid &regions, float *scale, float *inv)
 {
     SNIP_ASSERT(cfg.rounding == Rounding::Nearest,
                 "stochastic rounding cannot fuse into a pack; "
                 "materialize the operand first");
     SNIP_ASSERT(cfg.format.name != "bf16",
                 "bf16 operands take the passthrough path");
-    const RegionGeom geom = regionGeom(rows, cols, cfg.scaling);
-    computeRegionScales(kt, src, rows, cols, geom,
-                        cfg.format.maxValue(), scale, inv);
-    oq.grid = quantGrid(cfg.format);
-    oq.cfg = &cfg;
-    oq.pq.fmt = &cfg.format;
-    oq.pq.grid = &oq.grid;
-    oq.pq.scale = scale;
-    oq.pq.inv_scale = inv;
-    oq.pq.row_block = geom.rb;
-    oq.pq.col_block = geom.cb;
-    oq.pq.regions_per_row = geom.ncr;
-}
-
-int64_t
-regionCount(int64_t rows, int64_t cols, const ScalingSpec &spec)
-{
-    const RegionGeom g = regionGeom(rows, cols, spec);
-    return g.nrr * g.ncr;
+    computeRegionScales(kt, src, regions, cfg.format.maxValue(), scale,
+                        inv);
+    bindOperandQuant(oq, cfg, regions, scale, inv);
 }
 
 // ----------------------------------------------------- packed driver
@@ -423,10 +335,9 @@ cachedPackB(PackedWeightCache *cache, int orient, PackedCtx *ctx,
         packStrips(ctx->n, kGemmPackNR) * kGemmPackNR * ctx->k));
     OperandQuant bq;
     if (cfg != nullptr) {
-        const int64_t nreg =
-            regionCount(src_rows, src_cols, cfg->scaling);
-        slot.scale.resize(static_cast<size_t>(nreg));
-        slot.inv.resize(static_cast<size_t>(nreg));
+        const RegionGrid regions(src_rows, src_cols, cfg->scaling);
+        slot.scale.resize(static_cast<size_t>(regions.count()));
+        slot.inv.resize(static_cast<size_t>(regions.count()));
         PackedWeightCache::Impl::Slot &other = impl.slots[1 - orient];
         if (other.valid && other.epoch == epoch && other.key == key &&
             other.src_rows == src_rows && other.src_cols == src_cols &&
@@ -437,17 +348,11 @@ cachedPackB(PackedWeightCache *cache, int orient, PackedCtx *ctx,
                       slot.scale.begin());
             std::copy(other.inv.begin(), other.inv.end(),
                       slot.inv.begin());
-            const RegionGeom geom =
-                regionGeom(src_rows, src_cols, cfg->scaling);
-            bq.grid = quantGrid(cfg->format);
-            bq.cfg = cfg;
-            bq.pq = {&cfg->format, &bq.grid,      slot.scale.data(),
-                     slot.inv.data(), geom.rb,    geom.cb,
-                     geom.ncr};
+            bindOperandQuant(bq, *cfg, regions, slot.scale.data(),
+                             slot.inv.data());
         } else {
-            setupOperandQuant(bq, *ctx->kt, *cfg, ctx->b, src_rows,
-                              src_cols, slot.scale.data(),
-                              slot.inv.data());
+            setupOperandQuant(bq, *ctx->kt, *cfg, ctx->b, regions,
+                              slot.scale.data(), slot.inv.data());
         }
         ctx->bq = &bq.pq;
     }
@@ -515,11 +420,11 @@ packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
 
     OperandQuant aq;
     if (aq_cfg != nullptr) {
-        const int64_t nreg = regionCount(a_rows, a_cols, aq_cfg->scaling);
-        float *scale = arena.getFloats(static_cast<size_t>(nreg));
-        float *inv = arena.getFloats(static_cast<size_t>(nreg));
-        setupOperandQuant(aq, kt, *aq_cfg, a, a_rows, a_cols, scale,
-                          inv);
+        const RegionGrid regions(a_rows, a_cols, aq_cfg->scaling);
+        const size_t nreg = static_cast<size_t>(regions.count());
+        float *scale = arena.getFloats(nreg);
+        float *inv = arena.getFloats(nreg);
+        setupOperandQuant(aq, kt, *aq_cfg, a, regions, scale, inv);
         ctx.aq = &aq.pq;
     }
 
@@ -529,12 +434,11 @@ packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
     } else {
         OperandQuant bq;
         if (bq_cfg != nullptr) {
-            const int64_t nreg =
-                regionCount(b_rows, b_cols, bq_cfg->scaling);
-            float *scale = arena.getFloats(static_cast<size_t>(nreg));
-            float *inv = arena.getFloats(static_cast<size_t>(nreg));
-            setupOperandQuant(bq, kt, *bq_cfg, b, b_rows, b_cols, scale,
-                              inv);
+            const RegionGrid regions(b_rows, b_cols, bq_cfg->scaling);
+            const size_t nreg = static_cast<size_t>(regions.count());
+            float *scale = arena.getFloats(nreg);
+            float *inv = arena.getFloats(nreg);
+            setupOperandQuant(bq, kt, *bq_cfg, b, regions, scale, inv);
             ctx.bq = &bq.pq;
         }
         float *bp = arena.getFloats(static_cast<size_t>(

@@ -472,42 +472,55 @@ TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
     // bit (same scales, same grid snap), for every nearest-rounding
     // precision and in all three variants — on a shape the heuristic
     // packs and on a decode-sized one it leaves unpacked (the quant*
-    // entries pack whatever the shape).
+    // entries pack whatever the shape). Besides the role policies'
+    // 1x128 tiles and 128x128 blocks, every operand also runs under
+    // each other granularity and under small blocks whose regions end
+    // mid-strip and mid-vector, which pins the kernels' region lookup
+    // to the quantizer's region order.
     Rng rng(9);
     FakeQuantizer q(11);
+    const std::vector<ScalingSpec> overrides = {
+        {Granularity::Tensorwise, 0}, {Granularity::Rowwise, 0},
+        {Granularity::Columnwise, 0}, {Granularity::Blockwise, 32},
+        {Granularity::Tilewise, 7}};
     for (const auto &[m, n, k] : {std::make_tuple(70, 50, 130),
                                   std::make_tuple(3, 20, 24)}) {
         EXPECT_EQ(gemmPackEnabled(m, n, k), m == 70);
-        for (Precision p : {Precision::FP8, Precision::FP6, Precision::FP4}) {
-            QuantConfig act = rolePolicy(p, TensorRole::Activation);
-            QuantConfig wt = rolePolicy(p, TensorRole::Weight);
-            act.rounding = Rounding::Nearest; // FP4 grads aside, all are
-            SCOPED_TRACE(act.describe() + " m=" + std::to_string(m));
+        for (Precision p : {Precision::FP8, Precision::FP6, Precision::FP4})
+            for (size_t o = 0; o <= overrides.size(); ++o) {
+                QuantConfig act = rolePolicy(p, TensorRole::Activation);
+                QuantConfig wt = rolePolicy(p, TensorRole::Weight);
+                QuantConfig og = rolePolicy(p, TensorRole::OutputGrad);
+                og.rounding = Rounding::Nearest; // FP4 grads aside, all are
+                if (o < overrides.size())
+                    act.scaling = wt.scaling = og.scaling = overrides[o];
+                SCOPED_TRACE(act.describe() + " " + wt.describe() +
+                             " m=" + std::to_string(m));
 
-            Tensor x = Tensor::randn({m, k}, rng);
-            Tensor w = Tensor::randn({n, k}, rng);
-            Tensor xm = q.quantize(x, act);
-            Tensor wm = q.quantize(w, wt);
-            Tensor fused = quantMatmulNT(x, &act, w, &wt, nullptr);
-            Tensor mat = quantMatmulNT(xm, nullptr, wm, nullptr, nullptr);
-            EXPECT_TRUE(fused == mat);
+                Tensor x = Tensor::randn({m, k}, rng);
+                Tensor w = Tensor::randn({n, k}, rng);
+                Tensor xm = q.quantize(x, act);
+                Tensor wm = q.quantize(w, wt);
+                Tensor fused = quantMatmulNT(x, &act, w, &wt, nullptr);
+                Tensor mat =
+                    quantMatmulNT(xm, nullptr, wm, nullptr, nullptr);
+                EXPECT_TRUE(fused == mat);
 
-            Tensor dy = Tensor::randn({m, n}, rng);
-            Tensor w2 = Tensor::randn({n, k}, rng);
-            QuantConfig og = rolePolicy(p, TensorRole::OutputGrad);
-            og.rounding = Rounding::Nearest;
-            Tensor dym = q.quantize(dy, og);
-            Tensor w2m = q.quantize(w2, wt);
-            Tensor f_nn = quantMatmulNN(dy, &og, w2, &wt, nullptr);
-            Tensor m_nn = quantMatmulNN(dym, nullptr, w2m, nullptr, nullptr);
-            EXPECT_TRUE(f_nn == m_nn);
+                Tensor dy = Tensor::randn({m, n}, rng);
+                Tensor w2 = Tensor::randn({n, k}, rng);
+                Tensor dym = q.quantize(dy, og);
+                Tensor w2m = q.quantize(w2, wt);
+                Tensor f_nn = quantMatmulNN(dy, &og, w2, &wt, nullptr);
+                Tensor m_nn =
+                    quantMatmulNN(dym, nullptr, w2m, nullptr, nullptr);
+                EXPECT_TRUE(f_nn == m_nn);
 
-            Tensor dw_f(n, k), dw_m(n, k);
-            quantGemmTN(dy, &og, x, &act, dw_f, /*accumulate=*/false);
-            quantGemmTN(dym, nullptr, xm, nullptr, dw_m,
-                        /*accumulate=*/false);
-            EXPECT_TRUE(dw_f == dw_m);
-        }
+                Tensor dw_f(n, k), dw_m(n, k);
+                quantGemmTN(dy, &og, x, &act, dw_f, /*accumulate=*/false);
+                quantGemmTN(dym, nullptr, xm, nullptr, dw_m,
+                            /*accumulate=*/false);
+                EXPECT_TRUE(dw_f == dw_m);
+            }
     }
 }
 

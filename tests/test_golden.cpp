@@ -24,6 +24,11 @@
  *  - serve_fp8kv / serve_fp32kv: with an FP8 / FP32 KV cache, the
  *    greedy token stream of a short continuous-batching run, and the
  *    logits of a batch-2 prefill + decode through the model API.
+ *  - quant_regions: FakeQuantizer outputs on a ragged 130x200 tensor
+ *    under every scaling granularity, nearest and stochastic, in FP4
+ *    and FP8. Stochastic rounding seeds one stream per region from the
+ *    region index, so this pins the canonical region order that no
+ *    training digest reaches outside the tile/block role policies.
  */
 #include <gtest/gtest.h>
 
@@ -32,6 +37,7 @@
 #include <vector>
 
 #include "core/controller.h"
+#include "quant/quantizer.h"
 #include "serve/engine.h"
 #include "serve/kv_cache.h"
 #include "serve/request_queue.h"
@@ -179,6 +185,43 @@ TEST(Golden, TrainWidePackedAdaptiveFp4)
 {
     ASSERT_TRUE(gemmPackEnabled(4 * 32, 64, 64));
     checkGolden([] { return trainDigests("train_wide", wideModel()); });
+}
+
+// ------------------------------------------------------- quantization
+
+Digests
+quantRegionDigests()
+{
+    // Rows of different magnitude (distinct per-region scales) and one
+    // all-zero row (the unit-scale case).
+    Rng rng(130200);
+    Tensor x = Tensor::randn({130, 200}, rng);
+    for (int64_t r = 0; r < 130; ++r)
+        for (int64_t c = 0; c < 200; ++c)
+            x.at(r, c) *= r == 5 ? 0.0f : 1.0f + (r % 7);
+    uint32_t crc = 0;
+    for (const FloatFormat &fmt : {fp4E2m1(), fp8E4m3()})
+        for (const Granularity g :
+             {Granularity::Tensorwise, Granularity::Rowwise,
+              Granularity::Columnwise, Granularity::Blockwise,
+              Granularity::Tilewise})
+            for (const int block : {128, 48})
+                for (const Rounding rounding :
+                     {Rounding::Nearest, Rounding::Stochastic}) {
+                    FakeQuantizer q(0x5EEDull);
+                    const Tensor y =
+                        q.quantize(x, {fmt, {g, block}, rounding});
+                    crc = crc32(y.data(),
+                                sizeof(float) *
+                                    static_cast<size_t>(y.numel()),
+                                crc);
+                }
+    return {{"quant_regions", crc}};
+}
+
+TEST(Golden, QuantRegionsEveryGranularity)
+{
+    checkGolden(quantRegionDigests);
 }
 
 // ------------------------------------------------------------ serving

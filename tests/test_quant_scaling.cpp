@@ -1,24 +1,35 @@
 /**
  * @file
- * Scaling granularities: region iteration, scale counts (the memory-
- * overhead accounting of Sec. 6.3), and scale values.
+ * Scaling granularities: the region grid (partition, index order and
+ * index lookup), scale counts (the memory-overhead accounting of Sec.
+ * 6.3), and scale values.
  */
 #include <gtest/gtest.h>
+
+#include <array>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "quant/scaling.h"
 
 namespace snip {
 namespace {
 
-/** Collect regions into a list for inspection. */
+const Granularity kAllGranularities[] = {
+    Granularity::Tensorwise, Granularity::Rowwise, Granularity::Columnwise,
+    Granularity::Blockwise, Granularity::Tilewise};
+
+/** The grid's regions in index order, for inspection. */
 std::vector<std::array<int64_t, 4>>
 regions(int64_t rows, int64_t cols, const ScalingSpec &spec)
 {
+    const RegionGrid grid(rows, cols, spec);
     std::vector<std::array<int64_t, 4>> out;
-    forEachRegion(rows, cols, spec,
-                  [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-                      out.push_back({r0, r1, c0, c1});
-                  });
+    for (int64_t i = 0; i < grid.count(); ++i) {
+        const RegionGrid::Bounds b = grid.bounds(i);
+        out.push_back({b.r0, b.r1, b.c0, b.c1});
+    }
     return out;
 }
 
@@ -27,12 +38,10 @@ void
 expectPartition(int64_t rows, int64_t cols, const ScalingSpec &spec)
 {
     std::vector<int> hits(static_cast<size_t>(rows * cols), 0);
-    forEachRegion(rows, cols, spec,
-                  [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-                      for (int64_t r = r0; r < r1; ++r)
-                          for (int64_t c = c0; c < c1; ++c)
-                              hits[static_cast<size_t>(r * cols + c)]++;
-                  });
+    for (const auto &[r0, r1, c0, c1] : regions(rows, cols, spec))
+        for (int64_t r = r0; r < r1; ++r)
+            for (int64_t c = c0; c < c1; ++c)
+                hits[static_cast<size_t>(r * cols + c)]++;
     for (int h : hits)
         EXPECT_EQ(h, 1);
 }
@@ -75,14 +84,50 @@ TEST(Scaling, TilewisePartitionsRowsIntoTiles)
 
 TEST(Scaling, ScaleCountMatchesRegionCount)
 {
-    for (auto g : {Granularity::Tensorwise, Granularity::Rowwise,
-                   Granularity::Columnwise, Granularity::Blockwise,
-                   Granularity::Tilewise}) {
-        ScalingSpec spec{g, 32};
-        EXPECT_EQ(scaleCount(50, 130, spec),
-                  static_cast<int64_t>(regions(50, 130, spec).size()))
-            << granularityName(g);
+    // 50x130 with 32-blocks: ceil(50/32) = 2 row bands, ceil(130/32) = 5
+    // column slots.
+    const int64_t expected[] = {1, 50, 130, 2 * 5, 50 * 5};
+    for (size_t i = 0; i < std::size(kAllGranularities); ++i) {
+        const ScalingSpec spec{kAllGranularities[i], 32};
+        const RegionGrid grid(50, 130, spec);
+        EXPECT_EQ(grid.count(), expected[i])
+            << granularityName(spec.granularity);
+        EXPECT_EQ(grid.count(),
+                  static_cast<int64_t>(regions(50, 130, spec).size()));
     }
+}
+
+TEST(Scaling, IndexNamesTheRegionWhoseBoundsContainIt)
+{
+    // Ragged in both dimensions (37 = 2*16 + 5, 53 = 3*16 + 5), plus a
+    // block wider than the matrix.
+    for (const Granularity g : kAllGranularities)
+        for (const int block : {16, 100}) {
+            const ScalingSpec spec{g, block};
+            SCOPED_TRACE(std::string(granularityName(g)) + " " +
+                         std::to_string(block));
+            const RegionGrid grid(37, 53, spec);
+            expectPartition(37, 53, spec);
+            for (int64_t r = 0; r < 37; ++r)
+                for (int64_t c = 0; c < 53; ++c) {
+                    const int64_t i = grid.index(r, c);
+                    ASSERT_GE(i, 0);
+                    ASSERT_LT(i, grid.count());
+                    const RegionGrid::Bounds b = grid.bounds(i);
+                    EXPECT_TRUE(b.r0 <= r && r < b.r1 && b.c0 <= c &&
+                                c < b.c1)
+                        << "(" << r << ", " << c << ") -> " << i;
+                    EXPECT_EQ(grid.colEnd(c), b.c1);
+                }
+            // Band-major numbering: regions ascend by (row, column) of
+            // their top-left corner.
+            for (int64_t i = 1; i < grid.count(); ++i) {
+                const RegionGrid::Bounds a = grid.bounds(i - 1);
+                const RegionGrid::Bounds b = grid.bounds(i);
+                EXPECT_TRUE(a.r0 < b.r0 || (a.r0 == b.r0 && a.c0 < b.c0))
+                    << i;
+            }
+        }
 }
 
 TEST(Scaling, DeepSeekRecipeMemoryOverheadIsTiny)
@@ -90,7 +135,7 @@ TEST(Scaling, DeepSeekRecipeMemoryOverheadIsTiny)
     // 128x128 blockwise on a 4096x4096 weight: 1024 scales for 16.7M
     // elements (< 0.01%), matching the paper's <1% memory claim.
     const int64_t scales =
-        scaleCount(4096, 4096, {Granularity::Blockwise, 128});
+        RegionGrid(4096, 4096, {Granularity::Blockwise, 128}).count();
     EXPECT_EQ(scales, 32 * 32);
     EXPECT_LT(static_cast<double>(scales) / (4096.0 * 4096.0), 0.01);
 }

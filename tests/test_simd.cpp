@@ -353,21 +353,14 @@ TEST(SimdPack, PackKernelsBitExactAcrossBackends)
             const int64_t cols = k_major ? ext : k;
             // Region scales shared by both backends (their maxAbs
             // kernels already agree bitwise).
-            const int64_t rb = std::min<int64_t>(128, rows);
-            const int64_t cb = std::min<int64_t>(128, cols);
-            const int64_t ncr = (cols + cb - 1) / cb;
-            const int64_t nrr = (rows + rb - 1) / rb;
+            const RegionGrid regions(rows, cols, cfg.scaling);
             std::vector<float> scale, inv;
-            for (int64_t r = 0; r < nrr; ++r) {
-                for (int64_t c = 0; c < ncr; ++c) {
-                    scale.push_back(1.5f + static_cast<float>(r + c));
-                    inv.push_back(1.0f / scale.back());
-                }
+            for (int64_t i = 0; i < regions.count(); ++i) {
+                scale.push_back(1.5f + static_cast<float>(i));
+                inv.push_back(1.0f / scale.back());
             }
-            const simd::PackQuant pq{&cfg.format, &grid,
-                                     scale.data(),  inv.data(),
-                                     rb,            cb,
-                                     ncr};
+            const simd::PackQuant pq{&cfg.format, &grid, scale.data(),
+                                     inv.data(), regions};
             for (const simd::PackQuant *q :
                  {static_cast<const simd::PackQuant *>(nullptr), &pq}) {
                 auto s = packWith(simd::scalarKernels(), pack_a, src,

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "nn/attention.h"
+#include "quant/quantizer.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
 #include "tensor/gemm.h"
@@ -251,6 +252,34 @@ TEST(WorkspaceArena, SteadyStateFusedQuantGemmAllocatesNothing)
     stepped();
     EXPECT_EQ(allocDelta(stepped), 0)
         << "steady-state weight repack must not touch the heap";
+}
+
+TEST(WorkspaceArena, WarmedFakeQuantizeInPlaceAllocatesNothing)
+{
+    // The in-place quantizer indexes regions arithmetically and hands
+    // the pool a pointer-sized body, so once the pool's Job is warm a
+    // call touches the heap zero times — every role policy, nearest
+    // and stochastic rounding alike.
+    GlobalPoolGuard pool_guard;
+    runtime::setGlobalThreadCount(1);
+
+    Rng rng(7);
+    Tensor x = Tensor::randn({130, 200}, rng);
+    FakeQuantizer q(8);
+    for (const Precision p :
+         {Precision::BF16, Precision::FP8, Precision::FP6, Precision::FP4})
+        for (const TensorRole role :
+             {TensorRole::Activation, TensorRole::Weight,
+              TensorRole::OutputGrad}) {
+            const QuantConfig cfg = rolePolicy(p, role);
+            SCOPED_TRACE(cfg.describe());
+            Tensor t = x;
+            auto quantize = [&] { q.quantizeInPlace(t, cfg); };
+            quantize();
+            quantize();
+            EXPECT_EQ(allocDelta(quantize), 0)
+                << "warmed quantizeInPlace must not touch the heap";
+        }
 }
 
 TEST(WorkspaceArena, SteadyStateAttentionStepAllocatesNothing)
