@@ -66,7 +66,6 @@ main(int argc, char **argv)
 
     PipelineConstraint pc;
     pc.n_stages = n_stages;
-    pc.blocks_per_stage = split;
     SchemeSelection grouped =
         selectScheme(table, budget, flops, {}, pc);
     SchemeSelection global = selectScheme(table, budget, flops, {});

@@ -11,6 +11,7 @@
 
 #include "core/snip_optimizer.h"
 #include "core/stats_collector.h"
+#include "ilp/branch_and_bound.h"
 #include "nn/attention.h"
 #include "quant/quantizer.h"
 #include "runtime/thread_pool.h"

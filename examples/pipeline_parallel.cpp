@@ -47,7 +47,6 @@ main(int argc, char **argv)
 
     PipelineConstraint pc;
     pc.n_stages = n_stages;
-    pc.blocks_per_stage = split;
 
     SchemeSelection grouped = selectScheme(table, target, flops, {}, pc);
     SchemeSelection global = selectScheme(table, target, flops, {});

@@ -61,10 +61,6 @@ SchemeUpdateService::submit(SchemeUpdateRequest request)
 {
     SNIP_ASSERT(request.epoch > 0, "epochs are 1-based");
     const uint64_t epoch = request.epoch;
-    if (mode_ == Mode::Inline) {
-        publish(runSchemeUpdateGuarded(request));
-        return epoch;
-    }
     // The worker owns the snapshot; nothing in it aliases trainer
     // state, so the solve proceeds while training continues. The
     // guarded runner publishes even on failure, so the trainer's
@@ -77,13 +73,6 @@ SchemeUpdateService::submit(SchemeUpdateRequest request)
     return epoch;
 }
 
-bool
-SchemeUpdateService::ready(uint64_t epoch) const
-{
-    util::MutexLock lock(mu_);
-    return front_ >= 0 && slots_[front_].epoch >= epoch;
-}
-
 SchemeUpdateResult
 SchemeUpdateService::wait(uint64_t epoch)
 {
@@ -94,13 +83,6 @@ SchemeUpdateService::wait(uint64_t epoch)
                 "waited-for epoch was overwritten — more than one "
                 "update in flight?");
     return slots_[front_];
-}
-
-uint64_t
-SchemeUpdateService::publishedEpoch() const
-{
-    util::MutexLock lock(mu_);
-    return front_ >= 0 ? slots_[front_].epoch : 0;
 }
 
 void

@@ -11,7 +11,7 @@
  *      iteration + the two noise probes) inline — these need the model
  *      — and snapshots their outputs into a SchemeUpdateRequest. The
  *      snapshot is self-contained (stats, probe responses, FLOPs model,
- *      option set, solver knobs), so the worker never touches the
+ *      option set, solve options), so the worker never touches the
  *      model or the trainer's thread pool.
  *   2. The worker runs Steps 4-5 (divergence analysis + ILP solve,
  *      optionally through the persistent SolveCache) on a dedicated
@@ -23,10 +23,11 @@
  *      application step are independent of worker timing, training is
  *      bit-identical for any thread count and any worker speed.
  *
- * Mode::Inline computes the result synchronously inside submit() using
- * the exact same runSchemeUpdate() path, so the inline fallback is
- * bit-identical to the async mode with apply_delay = 0 — tests assert
- * the same scheme sequence either way.
+ * The controller's inline mode does not use the service: it calls
+ * runSchemeUpdateGuarded() on the trainer thread, the same code path
+ * the worker runs, so inline updates are bit-identical to the async
+ * mode with apply_delay = 0 — tests assert the same scheme sequence
+ * either way.
  */
 #ifndef SNIP_ASYNC_SCHEME_SERVICE_H
 #define SNIP_ASYNC_SCHEME_SERVICE_H
@@ -86,9 +87,9 @@ struct SchemeUpdateResult
 
 /**
  * Steps 4-5 as a pure function of the snapshot — the single code path
- * both the inline fallback and the async worker execute, which is what
- * makes the two modes bit-identical. Throws whatever the analysis or
- * the solver throws.
+ * both the controller's inline mode and the async worker execute,
+ * which is what makes the two modes bit-identical. Throws whatever the
+ * analysis or the solver throws.
  */
 SchemeUpdateResult runSchemeUpdate(const SchemeUpdateRequest &request);
 
@@ -106,33 +107,16 @@ runSchemeUpdateGuarded(const SchemeUpdateRequest &request);
 class SchemeUpdateService
 {
   public:
-    enum class Mode
-    {
-        Inline, ///< submit() computes synchronously on the caller
-        Async,  ///< submit() enqueues onto the dedicated worker
-    };
-
-    explicit SchemeUpdateService(Mode mode) : mode_(mode) {}
-
-    Mode mode() const { return mode_; }
-
-    /** Hand over a snapshot. Returns request.epoch. At most one update
-     *  may be in flight per service (the controller enforces this). */
+    /** Hand a snapshot to the worker. Returns request.epoch. At most
+     *  one update may be in flight per service (the controller
+     *  enforces this). */
     uint64_t submit(SchemeUpdateRequest request);
-
-    /** True when @p epoch has been published (non-blocking). */
-    bool ready(uint64_t epoch) const;
 
     /** Block until @p epoch is published and return a copy of it. */
     SchemeUpdateResult wait(uint64_t epoch);
 
-    /** Newest published epoch (0 = none yet). */
-    uint64_t publishedEpoch() const;
-
   private:
     void publish(SchemeUpdateResult result);
-
-    Mode mode_;
 
     /**
      * Double buffer: the worker writes a finished result into the slot
@@ -141,7 +125,7 @@ class SchemeUpdateService
      * trainer copying the previous result never races the next
      * publication.
      */
-    mutable util::Mutex mu_;
+    util::Mutex mu_;
     util::CondVar published_cv_;
     SchemeUpdateResult slots_[2] SNIP_GUARDED_BY(mu_);
     /** Slot of the newest published result; -1 none. */

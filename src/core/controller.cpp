@@ -23,9 +23,7 @@ secondsSince(const std::chrono::steady_clock::time_point &t0)
 
 SnipController::SnipController(const Config &config)
     : config_(config),
-      service_(std::make_unique<SchemeUpdateService>(
-          config.async ? SchemeUpdateService::Mode::Async
-                       : SchemeUpdateService::Mode::Inline))
+      service_(std::make_unique<SchemeUpdateService>())
 {
 }
 
@@ -50,33 +48,28 @@ SnipController::makeSnapshot(LlamaModel &model, AdamW *optimizer,
     // Steps 1-3: instrumented iteration + the two noise probes. These
     // need the model, so they always run on the trainer thread.
     StatsOptions stats_opts;
-    stats_opts.pool = pool ? pool : config_.pool;
-    stats_ = collectTrainingStats(model, optimizer, batch, stats_opts);
-    ProbeResult bwd = runNoiseProbe(model, batch, stats_,
-                                    ProbeKind::Backward, config_.probe);
-    ProbeResult fwd = runNoiseProbe(model, batch, stats_,
-                                    ProbeKind::Forward, config_.probe);
+    stats_opts.pool = pool;
+    TrainingStats stats =
+        collectTrainingStats(model, optimizer, batch, stats_opts);
+    ProbeResult bwd =
+        runNoiseProbe(model, batch, stats, ProbeKind::Backward);
+    ProbeResult fwd =
+        runNoiseProbe(model, batch, stats, ProbeKind::Forward);
 
     SchemeUpdateRequest req;
     req.epoch = ++epoch_;
     req.snapshot_step = step;
     req.apply_step = step + effectiveApplyDelay();
     // The probes above already diffed against the gradient dumps and
-    // the analysis never reads them, so keep them out of the snapshot
-    // copy: park them aside, copy the light scalars, put them back.
-    std::vector<Tensor> dumps;
-    dumps.reserve(stats_.layers.size());
-    for (auto &layer : stats_.layers)
-        dumps.push_back(std::move(layer.dw_dump));
-    req.stats = stats_;
-    for (size_t i = 0; i < dumps.size(); ++i)
-        stats_.layers[i].dw_dump = std::move(dumps[i]);
+    // the analysis never reads them, so drop them before the snapshot.
+    for (auto &layer : stats.layers)
+        layer.dw_dump = Tensor();
+    req.stats = std::move(stats);
     req.bwd_probe = std::move(bwd);
     req.fwd_probe = std::move(fwd);
     req.flops = FlopsModel(model.registry());
     req.options = makeOptionSet(config_.option_set);
     req.divergence.metric = config_.metric;
-    req.divergence.weight_div_scale = config_.weight_div_scale;
     req.target_fp4_fraction = config_.target_fp4_fraction;
     req.solve = config_.solve;
     req.pipeline = config_.pipeline;
@@ -112,7 +105,6 @@ SnipController::applyResult(LlamaModel &model,
     // Step 6: apply.
     model.setScheme(result.selection.scheme);
     selection_ = result.selection;
-    table_ = result.table;
     has_selection_ = true;
 
     overhead_.epoch = result.epoch;
@@ -208,7 +200,7 @@ SnipController::maybeUpdate(LlamaModel &model, AdamW *optimizer,
     }
 
     const bool due =
-        (!has_selection_ && !pending_ && config_.update_at_start) ||
+        (!has_selection_ && !pending_) ||
         (config_.update_interval > 0 && step > 0 &&
          step % config_.update_interval == 0);
     if (!due)
@@ -287,8 +279,6 @@ SnipController::importState(const PersistState &state)
     selection_ = SchemeSelection{};
     selection_.scheme = state.applied_scheme;
     selection_.fp4_fraction = state.applied_fp4_fraction;
-    stats_ = TrainingStats{};
-    table_ = DivergenceTable{};
     overhead_ = UpdateOverhead{};
     pending_ = state.pending;
     pending_wait_seconds_ = 0.0;

@@ -7,8 +7,10 @@
  * Two execution modes mirror the paper's Sec. 6.3 overhead discussion:
  *
  *  - **Inline** (Config::async = false, the default): Steps 1-6 run
- *    synchronously at the update boundary, exactly the historical
- *    behaviour. All solve time is *exposed* (the trainer waits).
+ *    synchronously at the update boundary. Steps 4-5 run through
+ *    runSchemeUpdateGuarded() on the trainer thread, without the
+ *    background service. All solve time is *exposed* (the trainer
+ *    waits).
  *  - **Async** (Config::async = true): Steps 1-3 still run inline at
  *    the boundary (they need the model), but the snapshot is handed to
  *    the background SchemeUpdateService (src/async/), which runs the
@@ -21,6 +23,10 @@
  *    worker timing and thread count, the scheme sequence and the
  *    training losses are bit-identical across thread counts — and
  *    with apply_delay = 0 they are bit-identical to inline mode.
+ *
+ * The first maybeUpdate() call always takes a snapshot, so training
+ * runs under a SNIP scheme from the controller's first step; later
+ * snapshots follow Config::update_interval.
  *
  * Solve results can be memoized across runs via Config::solve.cache
  * (ilp/solve_cache.h): repeated or warm-restarted searches that pose a
@@ -95,25 +101,18 @@ class SnipController
         /** Efficiency target E_t: required FP4 FLOP fraction. */
         double target_fp4_fraction = 0.5;
         /** Steps between scheme regenerations (paper: ~100k real
-         *  steps; scaled down here). */
+         *  steps; scaled down here). The first maybeUpdate() call
+         *  always regenerates. */
         int64_t update_interval = 100;
-        /** Regenerate at step 0 (before the first update)? */
-        bool update_at_start = true;
         OptionSetKind option_set = OptionSetKind::Standard;
         QualityMetric metric = QualityMetric::Snip;
-        double weight_div_scale = 1.0;
-        ProbeOptions probe;
-        /** Solver knobs; solve.cache (optional, not owned) enables the
-         *  persistent solve cache. */
+        /** solve.cache (optional, not owned) enables the persistent
+         *  solve cache. */
         IlpSolveOptions solve;
         PipelineConstraint pipeline;
-        /** Pool for the statistics sweep (Step 1); null = the
-         *  process-wide shared pool, i.e. the same instance the
-         *  trainer's kernels run on. */
-        runtime::ThreadPool *pool = nullptr;
 
         /** Run Steps 4-5 on the background worker (see file comment).
-         */
+         *  Off: the trainer thread runs them itself. */
         bool async = false;
         /** Steps between the snapshot boundary and the deterministic
          *  application boundary in async mode. Clamped to
@@ -132,16 +131,17 @@ class SnipController
      * Leaves parameter gradients dirty — callers zero them before
      * their next real training pass.
      *
-     * @param pool overrides Config::pool for this update when non-null
-     *             (the Trainer threads its own pool through here); both
-     *             null means the process-wide shared pool.
+     * @param pool pool for the statistics sweep (Step 1); the Trainer
+     *             threads its own pool through here. Null means the
+     *             process-wide shared pool.
      */
     SchemeSelection updateScheme(LlamaModel &model, AdamW *optimizer,
                                  const Batch &batch,
                                  runtime::ThreadPool *pool = nullptr);
 
     /**
-     * Trainer hook, called every step. Regenerates the scheme when
+     * Trainer hook, called every step. Regenerates the scheme on the
+     * first call (no scheme selected and none pending) and whenever
      * @p step hits the update cadence; in async mode also adopts a
      * pending background result once @p step reaches its apply
      * boundary. Returns true when a scheme was applied to the model
@@ -155,8 +155,6 @@ class SnipController
 
     bool hasSelection() const { return has_selection_; }
     const SchemeSelection &lastSelection() const { return selection_; }
-    const TrainingStats &lastStats() const { return stats_; }
-    const DivergenceTable &lastTable() const { return table_; }
     const UpdateOverhead &lastOverhead() const { return overhead_; }
     const OverheadTotals &totals() const { return totals_; }
 
@@ -203,8 +201,6 @@ class SnipController
     Config config_;
     std::unique_ptr<SchemeUpdateService> service_;
     SchemeSelection selection_;
-    TrainingStats stats_;
-    DivergenceTable table_;
     UpdateOverhead overhead_;
     OverheadTotals totals_;
     bool has_selection_ = false;

@@ -15,11 +15,11 @@ namespace snip {
 /** Pipeline constraint configuration (Sec. 5.3). */
 struct PipelineConstraint
 {
-    /** Number of pipeline stages K; 0 disables grouping. */
+    /** Number of pipeline stages K; 0 or 1 disables grouping. The
+     *  blocks are split by evenStageSplit() (parallel/pipeline.h), the
+     *  split the pipeline model simulates; K may not exceed the block
+     *  count. */
     int n_stages = 0;
-    /** Blocks per stage (must sum to n_blocks); empty = even split
-     *  with the remainder in the last stage. */
-    std::vector<int> blocks_per_stage;
 };
 
 /** Outcome of one scheme-selection solve. */

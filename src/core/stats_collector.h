@@ -10,7 +10,8 @@
  *     precision's role policy;
  *   - the AdamW update-sensitivity term of Sec. 4.3.2.
  * It also snapshots each layer's dW tensor (the "gradient dump") for the
- * noise probes of Steps 2-3 to diff against.
+ * noise probes of Steps 2-3 to diff against. Every pass records all of
+ * the above; StatsOptions only picks the thread pool.
  */
 #ifndef SNIP_CORE_STATS_COLLECTOR_H
 #define SNIP_CORE_STATS_COLLECTOR_H
@@ -79,10 +80,6 @@ class ThreadPool;
 /** Knobs for the statistics pass. */
 struct StatsOptions
 {
-    /** Also measure per-candidate quantization error norms. */
-    bool measure_quant_errors = true;
-    /** Keep per-layer dW dumps (needed by the probes). */
-    bool dump_gradients = true;
     /** Pool for the per-candidate error sweep; null = the process-wide
      *  shared pool (runtime::globalThreadPool()). */
     runtime::ThreadPool *pool = nullptr;

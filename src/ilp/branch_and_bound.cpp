@@ -12,11 +12,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Hard wall-clock limit (paper: 30 s per solve, Sec. 6.1). */
+constexpr double kTimeLimitSeconds = 30.0;
+/** Node cap as a second backstop. */
+constexpr int64_t kMaxNodes = 10'000'000;
+
 /** Mutable search state shared across the recursion. */
 struct SearchState
 {
     const IlpProblem *problem;
-    BnbLimits limits;
     Clock::time_point start;
     double incumbent_obj = std::numeric_limits<double>::infinity();
     std::vector<int> incumbent;
@@ -26,13 +30,13 @@ struct SearchState
     bool
     expired()
     {
-        if (nodes >= limits.max_nodes)
+        if (nodes >= kMaxNodes)
             return true;
         // Check the clock sparsely; it is not free.
         if ((nodes & 0x3F) == 0) {
             double s = std::chrono::duration<double>(Clock::now() - start)
                            .count();
-            if (s > limits.time_limit_seconds)
+            if (s > kTimeLimitSeconds)
                 return true;
         }
         return false;
@@ -95,7 +99,7 @@ branch(SearchState &st, std::vector<int> &fixed)
 } // namespace
 
 IlpSolution
-solveBranchAndBound(const IlpProblem &problem, const BnbLimits &limits)
+solveBranchAndBound(const IlpProblem &problem)
 {
     problem.validate();
     SNIP_ASSERT(problem.groups.empty(),
@@ -103,7 +107,6 @@ solveBranchAndBound(const IlpProblem &problem, const BnbLimits &limits)
 
     SearchState st;
     st.problem = &problem;
-    st.limits = limits;
     st.start = Clock::now();
 
     std::vector<int> fixed(static_cast<size_t>(problem.numItems()), -1);

@@ -11,22 +11,13 @@
 
 namespace snip {
 
-/** Limits on the search. */
-struct BnbLimits
-{
-    /** Hard wall-clock limit (paper: 30 s per solve, Sec. 6.1). */
-    double time_limit_seconds = 30.0;
-    /** Node cap as a second backstop. */
-    int64_t max_nodes = 10'000'000;
-};
-
 /**
- * Solve a single-constraint instance exactly (up to the limits; if a
- * limit is hit, the best incumbent is returned and the solution is
- * still feasible, just possibly not optimal).
+ * Solve a single-constraint instance exactly, up to a 30 s wall-clock
+ * limit (the paper's per-solve limit, Sec. 6.1) and a 10M-node cap. If
+ * a limit is hit, the best incumbent is returned: the solution is
+ * still feasible, just possibly not optimal.
  */
-IlpSolution solveBranchAndBound(const IlpProblem &problem,
-                                const BnbLimits &limits = {});
+IlpSolution solveBranchAndBound(const IlpProblem &problem);
 
 } // namespace snip
 

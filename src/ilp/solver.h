@@ -1,6 +1,6 @@
 /**
  * @file
- * Solver front-end: group decomposition + backend selection.
+ * Solver front-end: group decomposition + the DP solve of each group.
  *
  * Grouped (pipeline-aware, Sec. 5.3) instances decompose into one
  * independent subproblem per group, because each group has its own
@@ -16,45 +16,24 @@
 #ifndef SNIP_ILP_SOLVER_H
 #define SNIP_ILP_SOLVER_H
 
-#include <string>
-
-#include "ilp/branch_and_bound.h"
 #include "ilp/dp_solver.h"
 
 namespace snip {
 
 class SolveCache;
 
-/** Which backend solves each (sub)problem. */
-enum class IlpBackend
-{
-    BranchAndBound,
-    Dp,
-};
-
-/** Parse "bnb"/"dp". */
-IlpBackend ilpBackendByName(const std::string &name);
-
-/** Options for solveIlp. The DP backend is the default: it is exact up
- *  to a fine discretization and has predictable sub-second runtime,
- *  whereas branch & bound is exact but can hit its (paper-matching)
- *  30 s limit on degenerate instances. */
+/** Options for solveIlp. Every (sub)problem is solved by the DP
+ *  (ilp/dp_solver.h): it is exact up to a fine discretization and has
+ *  predictable sub-second runtime. Branch & bound
+ *  (ilp/branch_and_bound.h) is its exact test oracle. */
 struct IlpSolveOptions
 {
-    IlpBackend backend = IlpBackend::Dp;
-    BnbLimits bnb_limits;
-    int dp_resolution = 20000;
-    /** Optional persistent solve cache (ilp/solve_cache.h). Hits skip
-     *  the search entirely; every hit is re-verified against the live
-     *  problem before being trusted. Not owned. */
+    /** Optional persistent solve cache (ilp/solve_cache.h), keyed by
+     *  ilpProblemHash(). Hits skip the search entirely; every hit is
+     *  re-verified against the live problem before being trusted. Not
+     *  owned. */
     SolveCache *cache = nullptr;
 };
-
-/** Cache key of one (problem, options) pairing: the content hash of
- *  the instance folded with the solver knobs that can change the
- *  returned solution. */
-uint64_t solveCacheKey(const IlpProblem &problem,
-                       const IlpSolveOptions &options);
 
 /**
  * Solve a (possibly grouped) instance. Statistics are summed across

@@ -11,10 +11,10 @@
  * routing long-running background tasks through it would stall training.
  *
  * The worker thread is started lazily on the first submit(), so a
- * TaskThread that is never used (e.g. a controller in inline mode)
- * costs nothing. Tasks run strictly FIFO; drain() blocks until every
- * previously submitted task has finished. The destructor drains and
- * joins.
+ * TaskThread that is never used (e.g. the scheme-update service of a
+ * SnipController that runs its updates inline) costs nothing. Tasks
+ * run strictly FIFO; drain() blocks until every previously submitted
+ * task has finished. The destructor drains and joins.
  */
 #ifndef SNIP_RUNTIME_TASK_THREAD_H
 #define SNIP_RUNTIME_TASK_THREAD_H

@@ -193,16 +193,4 @@ makeOptionSet(OptionSetKind kind)
     return opts;
 }
 
-OptionSetKind
-optionSetKindByName(const std::string &name)
-{
-    if (name == "simple")
-        return OptionSetKind::Simple;
-    if (name == "standard")
-        return OptionSetKind::Standard;
-    if (name == "full")
-        return OptionSetKind::Full;
-    fatal("unknown option set kind: ", name);
-}
-
 } // namespace snip

@@ -155,9 +155,6 @@ enum class OptionSetKind
  *  ascending FP4 fraction; index 0 is always all-FP8. */
 std::vector<LayerScheme> makeOptionSet(OptionSetKind kind);
 
-/** Parse "simple"/"standard"/"full". */
-OptionSetKind optionSetKindByName(const std::string &name);
-
 } // namespace snip
 
 #endif // SNIP_SCHEMES_SCHEME_H

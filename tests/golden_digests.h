@@ -22,6 +22,10 @@ struct GoldenDigest
 inline constexpr GoldenDigest kGoldenDigests[] = {
     {"quant_regions", "avx2", 0x5ccae5e5u},
     {"quant_regions", "scalar", 0x5ccae5e5u},
+    {"quickstart.loss", "avx2", 0x494259ffu},
+    {"quickstart.loss", "scalar", 0x486e198au},
+    {"quickstart.params", "avx2", 0x2c628eb2u},
+    {"quickstart.params", "scalar", 0x067f6799u},
     {"serve_fp32kv.logits", "avx2", 0x51fc2ed1u},
     {"serve_fp32kv.logits", "scalar", 0x1321488bu},
     {"serve_fp32kv.tokens", "avx2", 0x8fc5c398u},

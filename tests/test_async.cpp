@@ -130,23 +130,23 @@ TEST(SolveCache, CorruptFileDegradesToEmpty)
     std::remove(path.c_str());
 }
 
-TEST(SchemeService, InlineAndAsyncPublishIdenticalResults)
+TEST(AsyncController, UpdateSchemeMatchesDelay0Submit)
 {
     TrainerConfig cfg = trainerPreset(tinyTestModel());
     Trainer trainer(cfg);
     trainer.train(5);
     Batch batch = trainer.nextBatch();
 
-    // One snapshot, solved through both service modes.
+    // One snapshot, solved on the caller's thread by updateScheme().
     SnipController::Config cc;
     cc.update_interval = 100;
     SnipController probe_controller(cc);
     SchemeSelection inline_sel = probe_controller.updateScheme(
         trainer.model(), &trainer.optimizer(), batch);
 
-    // The async path must reproduce the same scheme for the same
+    // The service's worker must reproduce the same scheme for the same
     // snapshot: run a fresh identical trainer through an async
-    // controller with apply_delay = 0.
+    // controller with apply_delay = 0, which submits and then waits.
     TrainerConfig cfg2 = trainerPreset(tinyTestModel());
     Trainer trainer2(cfg2);
     trainer2.train(5);
@@ -235,7 +235,8 @@ TEST(AsyncController, AppliesExactlyAtTheDeadline)
     cc.apply_delay = 4;
     SnipController controller(cc);
 
-    // Step 0 snapshots (update_at_start) with apply boundary at 4.
+    // Step 0 snapshots (the first call always does) with apply
+    // boundary at 4.
     trainer.trainStep(&controller);
     EXPECT_TRUE(controller.hasPendingUpdate());
     EXPECT_EQ(controller.pendingApplyStep(), 4);

@@ -21,6 +21,11 @@
  *    attention GEMMs clear the pack thresholds, so the packed
  *    pipeline (fused quantize-on-pack, batched packed attention) is
  *    pinned too.
+ *  - quickstart: examples/quickstart.cpp's run. tiny_test trains 20
+ *    BF16 steps, then 60 steps under an inline controller at a 50% FP4
+ *    target that updates at the start and every 50 steps (2 updates);
+ *    the loss digest covers those 60 steps. The only digest of the
+ *    inline controller path.
  *  - serve_fp8kv / serve_fp32kv: with an FP8 / FP32 KV cache, the
  *    greedy token stream of a short continuous-batching run, and the
  *    logits of a batch-2 prefill + decode through the model API.
@@ -138,6 +143,22 @@ checkGolden(Workload workload)
 
 constexpr int64_t kTrainSteps = 14;
 
+/** Loss-bit and final-parameter digests of one training run. */
+Digests
+runDigests(const std::string &prefix, const std::vector<double> &losses,
+           Trainer &trainer)
+{
+    uint32_t params = 0;
+    for (const ParamRef &p : trainer.model().params())
+        params = crc32(p.value->data(),
+                       sizeof(float) *
+                           static_cast<size_t>(p.value->numel()),
+                       params);
+    return {{prefix + ".loss",
+             crc32(losses.data(), sizeof(double) * losses.size())},
+            {prefix + ".params", params}};
+}
+
 Digests
 trainDigests(const std::string &prefix, const ModelConfig &model)
 {
@@ -152,15 +173,7 @@ trainDigests(const std::string &prefix, const ModelConfig &model)
         trainer.train(kTrainSteps, &controller);
     EXPECT_EQ(controller.totals().updates, 2);
 
-    uint32_t params = 0;
-    for (const ParamRef &p : trainer.model().params())
-        params = crc32(p.value->data(),
-                       sizeof(float) *
-                           static_cast<size_t>(p.value->numel()),
-                       params);
-    return {{prefix + ".loss",
-             crc32(losses.data(), sizeof(double) * losses.size())},
-            {prefix + ".params", params}};
+    return runDigests(prefix, losses, trainer);
 }
 
 /** tiny_test widened until its GEMMs take the packed pipeline. */
@@ -185,6 +198,25 @@ TEST(Golden, TrainWidePackedAdaptiveFp4)
 {
     ASSERT_TRUE(gemmPackEnabled(4 * 32, 64, 64));
     checkGolden([] { return trainDigests("train_wide", wideModel()); });
+}
+
+Digests
+quickstartDigests()
+{
+    Trainer trainer(trainerPreset(tinyTestModel()));
+    trainer.train(20);
+    SnipController::Config cc;
+    cc.target_fp4_fraction = 0.5;
+    cc.update_interval = 50; // inline updates at steps 20 and 50
+    SnipController controller(cc);
+    const std::vector<double> losses = trainer.train(60, &controller);
+    EXPECT_EQ(controller.totals().updates, 2);
+    return runDigests("quickstart", losses, trainer);
+}
+
+TEST(Golden, QuickstartInlineSnip)
+{
+    checkGolden(quickstartDigests);
 }
 
 // ------------------------------------------------------- quantization

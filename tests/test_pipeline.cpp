@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/snip_optimizer.h"
 #include "parallel/pipeline.h"
 #include "train/presets.h"
 
@@ -43,6 +44,31 @@ TEST(StageSplit, NeverLeavesEmptyStages)
             }
             EXPECT_EQ(total, blocks);
         }
+    }
+}
+
+TEST(StageSplit, IlpGroupsFollowTheEvenSplit)
+{
+    // buildIlp groups the ILP by the same split the pipeline model
+    // simulates, so no stage gets an empty group.
+    for (const auto &[blocks, stages] :
+         {std::pair{4, 3}, {6, 4}, {8, 5}, {10, 4}, {22, 4}}) {
+        ModelConfig cfg = tinyTestModel();
+        cfg.n_blocks = blocks;
+        LayerRegistry reg(cfg);
+        FlopsModel fm(reg);
+        DivergenceTable table;
+        table.options = makeOptionSet(OptionSetKind::Simple);
+        table.cell.assign(static_cast<size_t>(reg.numLinear()),
+                          std::vector<OptionCost>(table.options.size()));
+        PipelineConstraint pc;
+        pc.n_stages = stages;
+        const IlpProblem p = buildIlp(table, 0.5, fm, pc);
+        const std::vector<int> split = evenStageSplit(blocks, stages);
+        ASSERT_EQ(p.groups.size(), split.size()) << blocks << "/" << stages;
+        for (size_t s = 0; s < split.size(); ++s)
+            EXPECT_EQ(p.groups[s].count, split[s] * kRolesPerBlock)
+                << blocks << "/" << stages << " stage " << s;
     }
 }
 

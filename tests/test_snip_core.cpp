@@ -325,7 +325,7 @@ TEST(Controller, UpdatesOnCadenceAndAppliesScheme)
     SnipController controller(cc);
 
     EXPECT_FALSE(controller.hasSelection());
-    // First call triggers (update_at_start).
+    // The first call always triggers.
     EXPECT_TRUE(controller.maybeUpdate(f.trainer.model(),
                                        &f.trainer.optimizer(), f.batch,
                                        5));
