@@ -4,14 +4,16 @@
  * granularity/format, GEMM throughput, statistics-collection cost (the
  * paper claims it is negligible, Sec. 3.1), ILP solve time for
  * paper-sized instances (paper: "usually takes a few seconds" with a
- * 30 s limit — exact solves here are far below both), and the DP-vs-
- * B&B ablation.
+ * 30 s limit — the exact DP solve here is far below both).
+ *
+ * A dev tool, not a gate: CI gates the end-to-end benchmark
+ * (tools/perf_gate.py), never these rows on their own.
  */
 #include <benchmark/benchmark.h>
 
 #include "core/snip_optimizer.h"
 #include "core/stats_collector.h"
-#include "ilp/branch_and_bound.h"
+#include "ilp/dp_solver.h"
 #include "nn/attention.h"
 #include "quant/quantizer.h"
 #include "runtime/thread_pool.h"
@@ -23,8 +25,8 @@ namespace snip {
 namespace {
 
 /** Attach FLOP accounting to a GEMM benchmark: items/s stays the raw
- *  FLOP rate (the regression gate's cost metric) and a humanized
- *  GFLOP/s counter lands in the console/JSON output. */
+ *  FLOP rate and a humanized GFLOP/s counter lands in the console/JSON
+ *  output. */
 void
 setGemmThroughput(benchmark::State &state, int64_t flops_per_iter)
 {
@@ -188,8 +190,7 @@ BM_QuantizeThreads(benchmark::State &state)
 /**
  * SIMD-backend sweep: the same single-threaded GEMM under each kernel
  * backend ("scalar" rows are the portable baseline; "avx2" rows skip
- * on hosts without AVX2+FMA). CI's bench-perf job runs this sweep with
- * JSON output and gates on regressions vs bench/baseline_kernels.json.
+ * on hosts without AVX2+FMA).
  */
 void
 BM_GemmBackend(benchmark::State &state, const char *backend)
@@ -367,16 +368,6 @@ paperIlp(int n_layers, double target)
 }
 
 void
-BM_IlpBranchAndBound(benchmark::State &state)
-{
-    IlpProblem p = paperIlp(static_cast<int>(state.range(0)), 0.5);
-    for (auto _ : state) {
-        IlpSolution s = solveBranchAndBound(p);
-        benchmark::DoNotOptimize(s.objective);
-    }
-}
-
-void
 BM_IlpDp(benchmark::State &state)
 {
     IlpProblem p = paperIlp(static_cast<int>(state.range(0)), 0.5);
@@ -407,13 +398,7 @@ BENCHMARK_CAPTURE(BM_QuantizeTensor, bf16_fastpath,
                               {Granularity::Tensorwise, 0},
                               Rounding::Nearest});
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
-// Row names keep their historical "/on" and "/par" segments so the
-// checked-in baseline stays continuous.
-BENCHMARK(BM_GemmPack)
-    ->Name("BM_GemmPack/on")
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(2048);
+BENCHMARK(BM_GemmPack)->Arg(512)->Arg(1024)->Arg(2048);
 BENCHMARK_CAPTURE(BM_QuantGemmNT, fused, true)->Arg(1024);
 BENCHMARK_CAPTURE(BM_QuantGemmNT, materialized, false)->Arg(1024);
 BENCHMARK_CAPTURE(BM_GemmBackend, scalar, "scalar")->Arg(256)->Arg(512);
@@ -438,16 +423,8 @@ BENCHMARK(BM_QuantizeThreads)
     ->Args({512, 4})
     ->Args({512, 8})
     ->UseRealTime();
-BENCHMARK(BM_AttnFwd)
-    ->Name("BM_AttnFwd/par")
-    ->ArgName("shape")
-    ->Arg(0)
-    ->Arg(1);
-BENCHMARK(BM_AttnBwd)
-    ->Name("BM_AttnBwd/par")
-    ->ArgName("shape")
-    ->Arg(0)
-    ->Arg(1);
+BENCHMARK(BM_AttnFwd)->ArgName("shape")->Arg(0)->Arg(1);
+BENCHMARK(BM_AttnBwd)->ArgName("shape")->Arg(0)->Arg(1);
 BENCHMARK(BM_AttnThreads)
     ->ArgName("threads")
     ->Arg(1)
@@ -457,7 +434,6 @@ BENCHMARK(BM_AttnThreads)
     ->UseRealTime();
 BENCHMARK(BM_StatsCollection);
 BENCHMARK(BM_PlainStep);
-BENCHMARK(BM_IlpBranchAndBound)->Arg(154)->Arg(560);
 BENCHMARK(BM_IlpDp)->Arg(154)->Arg(560);
 
 } // namespace
@@ -469,8 +445,8 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    // Land the dispatch decision in the JSON context so regression
-    // reports say which backend produced the numbers.
+    // Land the dispatch decision in the JSON context so reports say
+    // which backend produced the numbers.
     benchmark::AddCustomContext("snip_simd_backend",
                                 snip::simd::activeBackendName());
     benchmark::AddCustomContext(

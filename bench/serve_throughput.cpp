@@ -5,24 +5,17 @@
  * storage modes and reports tokens/s plus p50/p99 TTFT and
  * inter-token latency.
  *
- * With --json=PATH the results are additionally written as
- * google-benchmark-shaped rows (items_per_second for the throughput
- * rows, real_time ns for the latency rows) so CI merges them into the
- * kernel sweep and gates them with tools/check_bench.py like any
- * other benchmark.
- *
  * With --trace[=PATH] span tracing is enabled for the measured runs
  * and a Chrome trace-event JSON (Perfetto-loadable, summarizable with
- * tools/trace_report.py) is written at exit. Traced bench rows get a
- * "/traced" name suffix so they never gate against untraced baselines.
+ * tools/trace_report.py) is written at exit.
  *
  * Usage:
  *   serve_throughput [--requests=64] [--concurrency=8] [--seed=7]
- *                    [--threads=N] [--json=PATH] [--trace[=PATH]]
+ *                    [--threads=N] [--trace[=PATH]]
  */
+#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "nn/model.h"
 #include "runtime/env_config.h"
@@ -95,64 +88,6 @@ printMode(const ModeResult &r)
                 static_cast<long long>(s.decode_steps));
 }
 
-/** One google-benchmark-shaped row. */
-std::string
-jsonRow(const std::string &name, double items_per_second,
-        double real_time_ns)
-{
-    std::string row = "    {\n";
-    row += strformat("      \"name\": \"%s\",\n", name.c_str());
-    row += strformat("      \"run_name\": \"%s\",\n", name.c_str());
-    row += "      \"run_type\": \"iteration\",\n";
-    row += "      \"repetitions\": 1,\n";
-    row += "      \"repetition_index\": 0,\n";
-    row += "      \"threads\": 1,\n";
-    row += "      \"iterations\": 1,\n";
-    row += strformat("      \"real_time\": %.6f,\n", real_time_ns);
-    row += strformat("      \"cpu_time\": %.6f,\n", real_time_ns);
-    row += "      \"time_unit\": \"ns\"";
-    if (items_per_second > 0.0)
-        row += strformat(",\n      \"items_per_second\": %.6f",
-                         items_per_second);
-    row += "\n    }";
-    return row;
-}
-
-bool
-writeJson(const std::string &path, const std::vector<ModeResult> &runs,
-          bool traced)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    // Traced runs carry recording overhead; the suffix keeps their
-    // rows from ever gating against untraced baselines (CI excludes
-    // "/traced" like the thread sweeps).
-    const char *suffix = traced ? "/traced" : "";
-    std::vector<std::string> rows;
-    for (const ModeResult &r : runs) {
-        const serve::ServeStats &s = r.stats;
-        rows.push_back(
-            jsonRow(strformat("BM_ServeDecode/%s%s", r.mode, suffix),
-                    s.tokensPerSecond(), s.elapsed_s * 1e9));
-        rows.push_back(jsonRow(strformat("BM_ServePrefillTokens/%s%s",
-                                         r.mode, suffix),
-                               prefillTokensPerSecond(s),
-                               s.prefill_s * 1e9));
-        rows.push_back(
-            jsonRow(strformat("BM_ServeItlP50/%s%s", r.mode, suffix),
-                    0.0, s.p50_itl_s * 1e9));
-    }
-    std::fprintf(f, "{\n  \"context\": {\"executable\": "
-                    "\"serve_throughput\"},\n  \"benchmarks\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i)
-        std::fprintf(f, "%s%s\n", rows[i].c_str(),
-                     i + 1 < rows.size() ? "," : "");
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
-}
-
 int
 serveMain(int argc, char **argv)
 {
@@ -187,25 +122,13 @@ serveMain(int argc, char **argv)
     model.setScheme(PrecisionScheme::uniform(
         model.registry().numLinear(), Precision::FP8));
 
-    std::vector<ModeResult> runs;
     // Warm-up pass (arena growth, quantized-weight caches) then the
     // measured pass, per mode.
     for (serve::KvCacheMode mode :
          {serve::KvCacheMode::Fp8, serve::KvCacheMode::Fp32}) {
         runMode(model, mode, std::min<int64_t>(requests, 8),
                 concurrency, seed);
-        runs.push_back(
-            runMode(model, mode, requests, concurrency, seed));
-        printMode(runs.back());
-    }
-
-    const std::string json = args.get("json", "");
-    if (!json.empty()) {
-        if (!writeJson(json, runs, tracing)) {
-            std::fprintf(stderr, "cannot write %s\n", json.c_str());
-            return 1;
-        }
-        std::printf("wrote %s\n", json.c_str());
+        printMode(runMode(model, mode, requests, concurrency, seed));
     }
     if (tracing) {
         if (!trace::flush()) {

@@ -1,8 +1,11 @@
 #include "util/string_util.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+
+#include "util/logging.h"
 
 namespace snip {
 
@@ -87,7 +90,12 @@ ArgParser::getInt(const std::string &key, int64_t def) const
     std::string v = get(key, "");
     if (v.empty())
         return def;
-    return std::strtoll(v.c_str(), nullptr, 10);
+    char *end = nullptr;
+    errno = 0;
+    long long n = std::strtoll(v.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE)
+        fatal("--", key, "=", v, ": not an integer in range");
+    return n;
 }
 
 double
@@ -96,7 +104,12 @@ ArgParser::getDouble(const std::string &key, double def) const
     std::string v = get(key, "");
     if (v.empty())
         return def;
-    return std::strtod(v.c_str(), nullptr);
+    char *end = nullptr;
+    errno = 0;
+    double d = std::strtod(v.c_str(), &end);
+    if (*end != '\0' || errno == ERANGE)
+        fatal("--", key, "=", v, ": not a number in range");
+    return d;
 }
 
 bool

@@ -37,10 +37,16 @@ class ArgParser
     /** Value for --key=value, or @p def if absent. */
     std::string get(const std::string &key, const std::string &def) const;
 
-    /** Integer value for --key=value, or @p def. */
+    /**
+     * Integer value for --key=value, or @p def. fatal() when the value
+     * is not entirely a base-10 integer or is out of range.
+     */
     int64_t getInt(const std::string &key, int64_t def) const;
 
-    /** Double value for --key=value, or @p def. */
+    /**
+     * Double value for --key=value, or @p def. fatal() when the value
+     * is not entirely a number or is out of range.
+     */
     double getDouble(const std::string &key, double def) const;
 
     /** True if --key or --key=... was present. */

@@ -20,6 +20,10 @@ struct GoldenDigest
 };
 
 inline constexpr GoldenDigest kGoldenDigests[] = {
+    {"fig8_short.loss", "avx2", 0xfd192f0eu},
+    {"fig8_short.loss", "scalar", 0xcb674478u},
+    {"fig8_short.params", "avx2", 0xde2e4589u},
+    {"fig8_short.params", "scalar", 0xd4f2af11u},
     {"quant_regions", "avx2", 0x5ccae5e5u},
     {"quant_regions", "scalar", 0x5ccae5e5u},
     {"quickstart.loss", "avx2", 0x494259ffu},

@@ -21,6 +21,12 @@
  *    attention GEMMs clear the pack thresholds, so the packed
  *    pipeline (fused quantize-on-pack, batched packed attention) is
  *    pinned too.
+ *  - fig8_short: the paper's fig8 setup, shortened. tinyllama_sim
+ *    (22 blocks) trains 10 BF16 warm-up steps, then 20 adaptive-SNIP
+ *    steps at a 75% FP4 FLOP target with async scheme updates every
+ *    10 steps (snapshots at 10 and 20, adopted 8 steps later) and
+ *    stochastic-rounded FP4 gradients; the loss digest covers the 20
+ *    SNIP steps. Built in memory, no checkpoint file.
  *  - quickstart: examples/quickstart.cpp's run. tiny_test trains 20
  *    BF16 steps, then 60 steps under an inline controller at a 50% FP4
  *    target that updates at the start and every 50 steps (2 updates);
@@ -198,6 +204,26 @@ TEST(Golden, TrainWidePackedAdaptiveFp4)
 {
     ASSERT_TRUE(gemmPackEnabled(4 * 32, 64, 64));
     checkGolden([] { return trainDigests("train_wide", wideModel()); });
+}
+
+Digests
+fig8ShortDigests()
+{
+    Trainer trainer(trainerPreset(tinyllamaSim()));
+    trainer.train(10);
+    SnipController::Config cc;
+    cc.target_fp4_fraction = 0.75;
+    cc.update_interval = 10;
+    cc.async = true; // default apply_delay: adopted at 18 and 28
+    SnipController controller(cc);
+    const std::vector<double> losses = trainer.train(20, &controller);
+    EXPECT_EQ(controller.totals().updates, 2);
+    return runDigests("fig8_short", losses, trainer);
+}
+
+TEST(Golden, Fig8ShortAdaptiveFp4)
+{
+    checkGolden(fig8ShortDigests);
 }
 
 Digests

@@ -93,5 +93,23 @@ TEST(Args, ParsesFlagsValuesAndPositionals)
     EXPECT_EQ(args.positional()[0], "pos1");
 }
 
+TEST(Args, RejectsValuesThatAreNotEntirelyANumber)
+{
+    const auto parse = [](const char *flag) {
+        const char *argv[] = {"prog", flag};
+        return ArgParser(2, const_cast<char **>(argv));
+    };
+    const auto fails = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(parse("--steps=3O").getInt("steps", 0), fails, "--steps");
+    EXPECT_EXIT(parse("--steps=abc").getInt("steps", 0), fails, "--steps");
+    EXPECT_EXIT(parse("--n=1e3").getInt("n", 0), fails, "--n=1e3");
+    EXPECT_EXIT(parse("--n=99999999999999999999").getInt("n", 0), fails,
+                "--n=9+");
+    EXPECT_EXIT(parse("--rate=0.5x").getDouble("rate", 0), fails, "--rate");
+    EXPECT_EXIT(parse("--rate=1e999").getDouble("rate", 0), fails, "--rate");
+    EXPECT_DOUBLE_EQ(parse("--lr=3e-4").getDouble("lr", 0.0), 3e-4);
+    EXPECT_EQ(parse("--n=-7").getInt("n", 0), -7);
+}
+
 } // namespace
 } // namespace snip
