@@ -65,11 +65,10 @@ BM_Gemm(benchmark::State &state)
 }
 
 /**
- * The packed pipeline at L2-outgrowing shapes: a single-thread NT GEMM
- * on the dispatched backend, which the shape heuristic packs at these
- * sizes (512/1024/2048). Here operand panels no longer fit L2, so the
- * packed pipeline's contiguous strip-major traffic and 6x16 register
- * tile pay off.
+ * The GEMM driver at L2-outgrowing shapes: a single-thread NT GEMM on
+ * the dispatched backend (512/1024/2048). Here operand panels no
+ * longer fit L2, so the contiguous strip-major traffic and 6x16
+ * register tile carry the throughput.
  */
 void
 BM_GemmPack(benchmark::State &state)
@@ -240,9 +239,9 @@ BM_QuantizeBackend(benchmark::State &state, const char *backend)
 // ---------------------------------------------------------- attention
 
 /** Bench shapes for the attention core. Arg 0 selects: 0 = small
- *  (micro-model-like, per-head GEMMs far below any pack threshold),
- *  1 = fig8-scale (training-step-sized (b,h) space with GQA, where
- *  the batched runtime amortizes packing across 64 heads). */
+ *  (micro-model-like, tiny per-head GEMMs), 1 = fig8-scale
+ *  (training-step-sized (b,h) space with GQA, where each shared K/V
+ *  panel is packed once and streamed by its query heads). */
 AttnShape
 attnBenchShape(int64_t id)
 {

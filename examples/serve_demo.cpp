@@ -7,9 +7,9 @@
  * the decode path against the full-sequence forward:
  *
  *   - FP32-cache mode: decode logits are BIT-IDENTICAL to the last row
- *     of a full-sequence forward, at 1, 2 and 8 threads (every GEMM of
- *     this model selects the unpacked path by shape, in prefill and
- *     decode alike).
+ *     of a full-sequence forward, at 1, 2 and 8 threads (every GEMM
+ *     runs one driver whose rows do not depend on the other rows of
+ *     the call, in prefill and decode alike).
  *   - FP8-cache mode: logits track the FP32 trajectory within the
  *     documented tolerance (|err| <= 8% of the row max + 0.02).
  *
@@ -161,10 +161,9 @@ fullSeqLastRow(LlamaModel &model, const std::vector<int32_t> &tokens)
 bool
 checkBitIdentity(LlamaModel &model, uint64_t seed)
 {
-    // Decode equals the full forward bit for bit whenever both passes'
-    // GEMM shapes select the same packed-or-not path (packed kernels
-    // reorder the accumulation by contract). Every tiny_test GEMM has
-    // an inner dim below 32, so all of them run unpacked.
+    // Decode equals the full forward bit for bit: a 1-row decode GEMM
+    // runs the same per-element FMA chain as that row of the
+    // full-sequence GEMM.
     const ModelConfig &cfg = model.config();
     const auto prompt = somePrompt(7, cfg.vocab_size, seed);
     const int64_t steps = 8;

@@ -24,8 +24,8 @@ class SolveCache;
 
 /** Options for solveIlp. Every (sub)problem is solved by the DP
  *  (ilp/dp_solver.h): it is exact up to a fine discretization and has
- *  predictable sub-second runtime. Branch & bound
- *  (ilp/branch_and_bound.h) is its exact test oracle. */
+ *  predictable sub-second runtime. tests/test_ilp.cpp checks it against
+ *  exhaustive enumeration on instances small enough to enumerate. */
 struct IlpSolveOptions
 {
     /** Optional persistent solve cache (ilp/solve_cache.h), keyed by

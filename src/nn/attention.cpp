@@ -289,17 +289,19 @@ struct DecodeCtx
 };
 
 /**
- * Decode attention for items (row, kvh): gather the cached K/V head
- * into worker arena scratch and run each query head of the group as a
- * 1-row score/softmax/context chain. The softmax replicates the last
- * row of the scalar reference kernel (kernels_scalar.cpp) exactly —
- * scale + running max, scalar exp, double row-sum, float normalize —
- * so a decode row is bit-identical to row L-1 of the full-sequence
- * core.
+ * Decode attention for items (row, kvh): write the cached K/V head
+ * into worker arena scratch as packed GEMM panels and run each query
+ * head of the group as a 1-row score/softmax/context chain. The
+ * softmax replicates the last row of the scalar reference kernel
+ * (kernels_scalar.cpp) exactly — scale + running max, scalar exp,
+ * double row-sum, float normalize — so a decode row is bit-identical
+ * to row L-1 of the full-sequence core.
  */
 void
 decodeAttendItems(const DecodeCtx *dc, int64_t i0, int64_t i1)
 {
+    using simd::kGemmPackNR;
+    using simd::packStrips;
     const int64_t hd = dc->hd;
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
@@ -311,16 +313,18 @@ decodeAttendItems(const DecodeCtx *dc, int64_t i0, int64_t i1)
         const int64_t len = cache.length(sid, dc->block);
 
         runtime::ArenaScope scope(arena);
-        float *kb = arena.getFloats(static_cast<size_t>(len * hd));
-        float *vb = arena.getFloats(static_cast<size_t>(len * hd));
+        float *kp = arena.getFloats(static_cast<size_t>(
+            packStrips(len, kGemmPackNR) * kGemmPackNR * hd));
+        float *vp = arena.getFloats(static_cast<size_t>(
+            packStrips(hd, kGemmPackNR) * kGemmPackNR * len));
         float *sc = arena.getFloats(static_cast<size_t>(len));
-        cache.gatherHeadK(sid, dc->block, kvh, kb);
-        cache.gatherHeadV(sid, dc->block, kvh, vb);
+        cache.packHeadK(sid, dc->block, kvh, kp);
+        cache.packHeadV(sid, dc->block, kvh, vp);
 
         for (int64_t g = 0; g < dc->group; ++g) {
             const int64_t h = kvh * dc->group + g;
             const float *qh = dc->q + row * dc->n_heads * hd + h * hd;
-            gemmNT(qh, kb, sc, 1, len, hd);
+            gemmPrepackedB(qh, 1, hd, kp, len, sc);
 
             float maxv = -1e30f;
             for (int64_t j = 0; j < len; ++j) {
@@ -338,7 +342,7 @@ decodeAttendItems(const DecodeCtx *dc, int64_t i0, int64_t i1)
                 sc[j] *= inv;
 
             float *ch = dc->ctx + row * dc->n_heads * hd + h * hd;
-            gemmNN(sc, vb, ch, 1, hd, len);
+            gemmPrepackedB(sc, 1, len, vp, hd, ch);
         }
     }
 }
@@ -529,7 +533,7 @@ Attention::decodeForward(const float *x, int64_t count,
     wv_->forwardInference(x, count, vb);
 
     // Rotate at each sequence's current position, then append the new
-    // K/V rows serially (the cache is not thread-safe; gathers below
+    // K/V rows serially (the cache is not thread-safe; the reads below
     // run against an immutable cache).
     for (int64_t i = 0; i < count; ++i) {
         const int64_t sid = kv.seq_ids[i];

@@ -17,11 +17,9 @@
  * kernels (simd/kernels.h, bit-exact across backends) and is
  * bit-identical for any thread count.
  *
- * Whether the per-head GEMMs pack is decided from the whole batch
- * (gemmBatchedPackEnabled), so each item is bit-identical to a
- * per-head loop that calls the gemmPacked* entries when the batch
- * packs and gemmNT/NN/TN otherwise (the reference schedule in
- * tests/test_attention_model.cpp).
+ * Decode reads the paged KV cache as packed GEMM panels directly
+ * (KvCache::packHeadK/V), so the per-head 1-row products run the same
+ * strip microkernel as the full-sequence core, on the same values.
  */
 #ifndef SNIP_NN_ATTENTION_H
 #define SNIP_NN_ATTENTION_H
@@ -109,8 +107,8 @@ class Attention
      * history of kv.seq_ids[i] plus the new token, whose K/V rows are
      * appended to the cache. With an FP32-mode cache, output rows are
      * bit-identical to the last row of a Train/Prefill forward over
-     * the same prefix whenever both passes' GEMM shapes select the
-     * same packed-or-not path (tensor/gemm.h).
+     * the same prefix (every GEMM runs one driver whose rows do not
+     * depend on the other rows of the call; tensor/gemm.h).
      */
     void decodeForward(const float *x, int64_t count,
                        const KvCacheHandle &kv, float *y);

@@ -50,13 +50,12 @@ class LinearTap
  * One forward() must be followed by at most one backward() (the layer
  * saves its input activation in between).
  *
- * Large GEMMs take the packed pipeline (tensor/gemm.h; the shape
- * picks the path): nearest-rounded operands are quantized ON THE PACK
- * (no quantized tensor copy is materialized — the quantization
- * decision is a pack policy), stochastic-rounded operands (FP4
- * gradients) are materialized first, and the layer's PackedWeightCache
- * keeps the packed+quantized weight panels alive across the GEMMs of
- * one step. Mutating the weight through the non-const weight()
+ * All three GEMMs run the packed pipeline (tensor/gemm.h):
+ * nearest-rounded operands are quantized ON THE PACK (no quantized
+ * tensor copy is materialized — the quantization decision is a pack
+ * policy), stochastic-rounded operands (FP4 gradients) are
+ * materialized first, and the layer's PackedWeightCache keeps the
+ * packed+quantized weight panels alive across the GEMMs of one step. Mutating the weight through the non-const weight()
  * accessor invalidates the cache; the optimizer and checkpoint paths
  * invalidate globally via invalidateWeightPacks().
  */
@@ -81,14 +80,13 @@ class Linear
     /**
      * Inference-only forward on raw buffers: y[rows, out] = x W^T
      * with the layer's forward fake quantization applied (activation
-     * tiles quantized into arena scratch; the quantized weight copy is
-     * cached and rebuilt only when the weight-pack epoch moves or the
-     * scheme changes). Saves nothing, fires no tap, and after warm-up
-     * performs zero heap allocations. Rows are bit-identical to
-     * forward() whenever the two calls' GEMM shapes select the same
-     * packed-or-not path (tensor/gemm.h); a decode row (rows <= 3)
-     * always runs unpacked. Stochastic-rounding schemes are a
-     * training-only feature and hard-error here.
+     * rows quantized on the pack; the packed+quantized weight panel
+     * lives in the layer's PackedWeightCache and is rebuilt only when
+     * the weight changes or the scheme does). Saves nothing, fires no
+     * tap, and after warm-up performs zero heap allocations. Rows are
+     * bit-identical to the same rows of forward() for any row count
+     * (tensor/gemm.h). Stochastic-rounding schemes are a training-only
+     * feature and hard-error here.
      */
     void forwardInference(const float *x, int64_t rows, float *y);
 
@@ -114,7 +112,6 @@ class Linear
     weight()
     {
         w_packs_.invalidate();
-        w_inf_valid_ = false;
         return w_;
     }
     const Tensor &weight() const { return w_; }
@@ -158,9 +155,6 @@ class Linear
 
     QuantPlan plan(GemmKind kind, TensorRole role) const;
 
-    /** Legacy-path materialization of @p t under @p plan. */
-    Tensor materialized(const Tensor &t, const QuantPlan &plan);
-
     /**
      * Resolve one packed-GEMM operand: returns the tensor to feed the
      * GEMM (@p t, or @p storage after materializing a
@@ -174,10 +168,6 @@ class Linear
     /** The weight cache, or null while implicit reuse is unsafe. */
     PackedWeightCache *activeCache();
 
-    /** The quantized weight copy forwardInference() feeds its GEMM
-     *  (w_ itself for passthrough plans), rebuilt when stale. */
-    const Tensor &inferenceWeight(const QuantPlan &wp);
-
     std::string name_;
     Tensor w_;
     Tensor grad_w_;
@@ -188,13 +178,6 @@ class Linear
     int tap_idx_ = -1;
     /** Packed+quantized weight panels, one slot per GEMM orientation. */
     PackedWeightCache w_packs_;
-
-    // Quantized-weight copy for the inference path, keyed on the
-    // global weight-pack epoch and the format it was built under.
-    Tensor w_inf_;
-    bool w_inf_valid_ = false;
-    uint64_t w_inf_epoch_ = 0;
-    std::string w_inf_format_;
 };
 
 } // namespace snip

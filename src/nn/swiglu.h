@@ -29,8 +29,8 @@ class SwiGluMlp
      * Inference-only forward on raw buffers: writes the MLP output for
      * @p rows rows of @p x into @p y (may not alias) using arena
      * scratch for the hidden activations. Saves no state; rows are
-     * bit-identical to forward() whenever the two calls' GEMM shapes
-     * select the same packed-or-not path (Linear::forwardInference).
+     * bit-identical to the same rows of forward()
+     * (Linear::forwardInference).
      */
     void forwardInference(const float *x, int64_t rows, float *y);
 

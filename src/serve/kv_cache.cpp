@@ -78,6 +78,38 @@ encodeE4m3(float q)
     return std::signbit(q) ? static_cast<uint8_t>(idx | 0x80) : idx;
 }
 
+/**
+ * Write token @p t's head row (element i = value(i), i < hd) into a
+ * packed GEMM B panel (simd::packedBOffset layout). K is the decode
+ * scores GEMM's NT operand: tokens are the panel's columns (depth hd),
+ * so the row lands at stride kGemmPackNR. V is the context GEMM's NN
+ * operand: head dims are the columns (depth len), so the row is
+ * contiguous per strip, and the last strip's padding lanes are zeroed
+ * here.
+ */
+template <typename Value>
+inline void
+packTokenRow(float *dst, bool keys, int64_t t, int64_t len, int64_t hd,
+             Value value)
+{
+    using simd::kGemmPackNR;
+    using simd::packedBOffset;
+    if (keys) {
+        float *out = dst + packedBOffset(0, t, hd);
+        for (int64_t i = 0; i < hd; ++i)
+            out[i * kGemmPackNR] = value(i);
+        return;
+    }
+    for (int64_t s0 = 0; s0 < hd; s0 += kGemmPackNR) {
+        float *out = dst + packedBOffset(t, s0, len);
+        const int64_t w = std::min(kGemmPackNR, hd - s0);
+        for (int64_t i = 0; i < w; ++i)
+            out[i] = value(s0 + i);
+        for (int64_t i = w; i < kGemmPackNR; ++i)
+            out[i] = 0.0f;
+    }
+}
+
 } // namespace
 
 const char *
@@ -297,57 +329,63 @@ KvCache::length(int64_t seq_id, int64_t layer) const
 }
 
 void
-KvCache::gatherHead(int64_t seq_id, int64_t layer, int64_t kv,
-                    int64_t kvh, float *dst) const
+KvCache::packHead(int64_t seq_id, int64_t layer, int64_t kv, int64_t kvh,
+                  float *dst) const
 {
     const SeqLayer &sl = slot(seq_id, layer);
     const int64_t hd = config_.head_dim;
-    if (config_.mode == KvCacheMode::Fp32) {
-        for (int64_t t = 0; t < sl.length; ++t) {
-            const int64_t page =
-                sl.pages[static_cast<size_t>(t / config_.page_tokens)];
-            const int64_t tok = t % config_.page_tokens;
-            std::memcpy(dst + t * hd,
-                        data_.data() + rowOffset(page, kv, tok) +
-                            kvh * hd,
-                        static_cast<size_t>(hd) * sizeof(float));
+    const int64_t len = sl.length;
+    const int64_t pt = config_.page_tokens;
+    const int64_t kv_dim = config_.kvDim();
+    const int64_t n_kv = config_.n_kv_heads;
+    const bool keys = kv == 0;
+    const float *mags = e4m3Magnitudes().data();
+    for (int64_t p0 = 0; p0 < len; p0 += pt) {
+        const int64_t page = sl.pages[static_cast<size_t>(p0 / pt)];
+        const int64_t ntok = std::min(pt, len - p0);
+        const int64_t base = rowOffset(page, kv, 0) + kvh * hd;
+        if (config_.mode == KvCacheMode::Fp32) {
+            const float *src = data_.data() + base;
+            for (int64_t tok = 0; tok < ntok; ++tok, src += kv_dim)
+                packTokenRow(dst, keys, p0 + tok, len, hd,
+                             [src](int64_t i) { return src[i]; });
+            continue;
         }
-        return;
-    }
-    const std::vector<float> &mags = e4m3Magnitudes();
-    for (int64_t t = 0; t < sl.length; ++t) {
-        const int64_t page =
-            sl.pages[static_cast<size_t>(t / config_.page_tokens)];
-        const int64_t tok = t % config_.page_tokens;
-        const int64_t off = rowOffset(page, kv, tok) + kvh * hd;
-        float *out = dst + t * hd;
-        const uint8_t *codes = codes_.data() + off;
-        const float inv =
-            inv_scales_[static_cast<size_t>(
-                ((page * 2 + kv) * config_.page_tokens + tok) *
-                    config_.n_kv_heads +
-                kvh)];
-        for (int64_t i = 0; i < hd; ++i) {
-            const uint8_t c = codes[i];
-            const float mag = mags[static_cast<size_t>(c & 0x7f)];
-            const float val = mag * inv;
-            out[i] = (c & 0x80) ? -val : val;
+        const uint8_t *codes = codes_.data() + base;
+        const float *inv =
+            inv_scales_.data() + (page * 2 + kv) * pt * n_kv + kvh;
+        for (int64_t tok = 0; tok < ntok; ++tok) {
+            const uint8_t *c = codes + tok * kv_dim;
+            const float s = inv[tok * n_kv];
+            packTokenRow(dst, keys, p0 + tok, len, hd,
+                         [c, s, mags](int64_t i) {
+                             const float val = mags[c[i] & 0x7f] * s;
+                             return (c[i] & 0x80) ? -val : val;
+                         });
         }
     }
+    // Zero the padding lanes of K's last token strip.
+    if (keys)
+        for (int64_t t = len;
+             t < simd::packStrips(len, simd::kGemmPackNR) *
+                     simd::kGemmPackNR;
+             ++t)
+            packTokenRow(dst, keys, t, len, hd,
+                         [](int64_t) { return 0.0f; });
 }
 
 void
-KvCache::gatherHeadK(int64_t seq_id, int64_t layer, int64_t kvh,
-                     float *dst) const
+KvCache::packHeadK(int64_t seq_id, int64_t layer, int64_t kvh,
+                   float *dst) const
 {
-    gatherHead(seq_id, layer, 0, kvh, dst);
+    packHead(seq_id, layer, 0, kvh, dst);
 }
 
 void
-KvCache::gatherHeadV(int64_t seq_id, int64_t layer, int64_t kvh,
-                     float *dst) const
+KvCache::packHeadV(int64_t seq_id, int64_t layer, int64_t kvh,
+                   float *dst) const
 {
-    gatherHead(seq_id, layer, 1, kvh, dst);
+    packHead(seq_id, layer, 1, kvh, dst);
 }
 
 } // namespace serve

@@ -15,7 +15,7 @@
  *         scale-per-block recipe (Sec. 2.3) applied as a storage
  *         format via quant/codec. A stored value decodes to exactly
  *         the float the fake quantizer would have produced, so the
- *         dequantize-on-gather path is the fake-quantized attention
+ *         dequantize-on-read path is the fake-quantized attention
  *         input, nothing looser.
  *   fp32  reference mode: values are stored verbatim; a decode step
  *         reading this cache is bit-identical to the full-sequence
@@ -23,9 +23,9 @@
  *
  * Concurrency contract: the cache is not thread-safe — the engine
  * serializes begin/append/end on one thread, so there is no mutex to
- * annotate (src/util/thread_annotations.h). gatherHeadK/V are const
+ * annotate (src/util/thread_annotations.h). packHeadK/V are const
  * and safe to call from pool workers while no mutation is in flight
- * (the decode schedule appends serially, then fans gathers out);
+ * (the decode schedule appends serially, then fans reads out);
  * parallelFor's join is the happens-before edge that publishes the
  * appended pages to those workers.
  */
@@ -100,16 +100,20 @@ class KvCache
     int64_t length(int64_t seq_id, int64_t layer) const;
 
     /**
-     * Copy kv-head @p kvh of every stored K row for (seq, layer) into
-     * @p dst as a contiguous [length, head_dim] slab, dequantizing in
-     * fp8 mode. Performs no allocation.
+     * Write kv-head @p kvh of every stored K row for (seq, layer) into
+     * @p dst as the packed B panel of the decode scores GEMM
+     * q * K^T (simd::packedBOffset layout: columns = tokens, depth =
+     * head_dim, zero-padded to whole strips), dequantizing in fp8
+     * mode. One pass from the pages: no gathered slab is copied again
+     * by a pack. Performs no allocation.
      */
-    void gatherHeadK(int64_t seq_id, int64_t layer, int64_t kvh,
-                     float *dst) const;
+    void packHeadK(int64_t seq_id, int64_t layer, int64_t kvh,
+                   float *dst) const;
 
-    /** V-side gatherHeadK. */
-    void gatherHeadV(int64_t seq_id, int64_t layer, int64_t kvh,
-                     float *dst) const;
+    /** V-side packHeadK: the packed B panel of the context GEMM
+     *  p * V (columns = head dims, depth = tokens). */
+    void packHeadV(int64_t seq_id, int64_t layer, int64_t kvh,
+                   float *dst) const;
 
     int64_t pagesInUse() const { return pages_in_use_; }
     int64_t pagesFree() const
@@ -135,8 +139,8 @@ class KvCache
 
     void encodeRow(int64_t page, int64_t kv, int64_t tok,
                    const float *src);
-    void gatherHead(int64_t seq_id, int64_t layer, int64_t kv,
-                    int64_t kvh, float *dst) const;
+    void packHead(int64_t seq_id, int64_t layer, int64_t kv,
+                  int64_t kvh, float *dst) const;
 
     KvCacheConfig config_;
     std::vector<SeqLayer> slots_;     ///< [max_seqs * n_layers]

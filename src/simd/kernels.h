@@ -3,17 +3,18 @@
  * Portable kernel-backend interface for the three hot paths.
  *
  * A KernelTable bundles the architecture-specific inner kernels the
- * library dispatches at runtime (simd/dispatch.h): the GEMM block
- * microkernels, the nearest-rounding grid-snap sweep, and the
- * error-metric reductions. Backends implement the same block
- * decomposition (the constants below) and a fixed per-block
- * accumulation order, so each backend keeps the PR 1 guarantee that
- * results are bit-identical for any thread count. Different backends
- * may legitimately differ in low-order bits of GEMM and sum-of-squares
- * results (FMA contraction, vector-lane accumulation order); the
- * quantize, bf16-round and max-abs kernels are required to agree
- * bit-for-bit across backends. tests/test_simd.cpp enforces both
- * contracts.
+ * library dispatches at runtime (simd/dispatch.h): the GEMM operand
+ * packs and register-tiled strip microkernel, the nearest-rounding
+ * grid-snap sweep, and the error-metric reductions. Every GEMM runs
+ * the one packed microkernel, and each backend fixes its per-element
+ * accumulation order (k ascending), so each backend keeps the PR 1
+ * guarantee that results are bit-identical for any thread count — and
+ * that a row of C never depends on which other rows share the call.
+ * Different backends may legitimately differ in low-order bits of GEMM
+ * and sum-of-squares results (FMA contraction, vector-lane
+ * accumulation order); the quantize, bf16-round and max-abs kernels
+ * are required to agree bit-for-bit across backends.
+ * tests/test_simd.cpp enforces both contracts.
  */
 #ifndef SNIP_SIMD_KERNELS_H
 #define SNIP_SIMD_KERNELS_H
@@ -26,21 +27,15 @@
 namespace snip {
 namespace simd {
 
-/// GEMM block sizes shared by every backend (an A-panel plus a B-panel
-/// fit in L1/L2). The M-block is also the parallelFor unit in
-/// tensor/gemm.cpp: workers own whole rows of C, so the decomposition
-/// — and therefore each backend's accumulation order — never depends
-/// on thread count.
+/// GEMM M-block height: the parallelFor unit in tensor/gemm.cpp.
+/// Workers own whole rows of C, so the decomposition — and therefore
+/// each backend's accumulation order — never depends on thread count.
 constexpr int64_t kGemmBlockM = 64;
-constexpr int64_t kGemmBlockN = 64;
-constexpr int64_t kGemmBlockK = 128;
 
-/// Packed-path register-tile edges, shared by every backend: packed A
-/// panels hold kGemmPackMR-row strips, packed B panels kGemmPackNR-
-/// column strips (6 x 16 is the classic AVX2+FMA sweet spot — twelve
-/// 8-lane accumulators). The parallelFor unit of the packed path stays
-/// the kGemmBlockM row block, so M-block ownership is identical to the
-/// unpacked path and thread count still cannot change numerics.
+/// Register-tile edges, shared by every backend: packed A panels hold
+/// kGemmPackMR-row strips, packed B panels kGemmPackNR-column strips
+/// (6 x 16 is the classic AVX2+FMA sweet spot — twelve 8-lane
+/// accumulators).
 constexpr int64_t kGemmPackMR = 6;
 constexpr int64_t kGemmPackNR = 16;
 
@@ -50,6 +45,17 @@ constexpr int64_t
 packStrips(int64_t extent, int64_t strip)
 {
     return (extent + strip - 1) / strip;
+}
+
+/// Offset of logical B element (kk, j) in a packed B panel of depth
+/// @p k: column j sits in strip j / kGemmPackNR, lane j % kGemmPackNR
+/// (the PackBFn layout below). Callers that build a panel straight
+/// from their own storage (the paged KV cache) write through this.
+constexpr int64_t
+packedBOffset(int64_t kk, int64_t j, int64_t k)
+{
+    return (j / kGemmPackNR) * kGemmPackNR * k + kk * kGemmPackNR +
+           j % kGemmPackNR;
 }
 
 /**
@@ -73,17 +79,6 @@ struct PackQuant
     const float *inv_scale = nullptr;
     RegionGrid regions;
 };
-
-/**
- * One C-row-block of a GEMM: rows [i0, i1) of the M dimension.
- *
- * The caller (tensor/gemm.cpp) has already zeroed the rows when not
- * accumulating, so every kernel unconditionally adds into C. @p m is
- * the full M extent (needed by the TN variant, whose A is K x M).
- */
-using GemmBlockFn = void (*)(const float *a, const float *b, float *c,
-                             int64_t i0, int64_t i1, int64_t m, int64_t n,
-                             int64_t k);
 
 /**
  * In-place nearest-rounding fake quantization of @p count values:
@@ -153,17 +148,20 @@ using PackBFn = void (*)(const float *src, int64_t ld, bool k_major,
                          int64_t k, const PackQuant *pq);
 
 /**
- * One M-row-block of the packed GEMM: C[0..mb) x [0..n) at @p c
- * (leading dimension @p ldc) += Ap * Bp, where ap holds the block's
- * packed A panel and bp the full packed B panel. Strip walk order and
- * the per-element k-ascending accumulation are pure functions of the
- * arguments, so the packed path keeps the bit-exactness-for-any-
- * thread-count contract (it may differ from the unpacked kernels in
- * low-order bits — a separate, documented contract).
+ * One A strip of a GEMM against a packed B panel: C[0..mr) x [0..n) at
+ * @p c (leading dimension @p ldc) += A * Bp, for mr <= kGemmPackMR.
+ * A element (r, kk) is a[r*a_rs + kk*a_ks]: a packed A strip
+ * (a_rs = 1, a_ks = kGemmPackMR), or an operand read in place (a
+ * row-major A has a_rs = ld, a_ks = 1; the TN variant's A has
+ * a_rs = 1, a_ks = ld). Rows at or past @p mr are never read. Each C
+ * element sums its k products in ascending k into an accumulator that
+ * starts at zero and is then added to C — the same chain for every mr
+ * and every A layout, so a row of C is bit-identical however many rows
+ * share the strip.
  */
-using GemmPackedBlockFn = void (*)(const float *ap, const float *bp,
-                                   float *c, int64_t ldc, int64_t mb,
-                                   int64_t n, int64_t k);
+using GemmStripFn = void (*)(const float *a, int64_t a_rs, int64_t a_ks,
+                             const float *bp, float *c, int64_t ldc,
+                             int64_t mr, int64_t n, int64_t k);
 
 /**
  * sum(p[i]^2) accumulated in double — the Frobenius-norm reduction the
@@ -200,12 +198,9 @@ using AttnSoftmaxBwdFn = void (*)(const float *prob, const float *dp,
 struct KernelTable
 {
     const char *name;
-    GemmBlockFn gemmNtBlock; ///< C[i,:] += A[i,:] * B^T (B is N x K)
-    GemmBlockFn gemmNnBlock; ///< C[i,:] += A[i,:] * B   (B is K x N)
-    GemmBlockFn gemmTnBlock; ///< C[i,:] += A[:,i]^T * B (A is K x M)
-    PackAFn packA;           ///< strip-pack (+ fused quantize) A panels
-    PackBFn packB;           ///< strip-pack (+ fused quantize) B panels
-    GemmPackedBlockFn gemmPackedBlock; ///< packed-panel M-block GEMM
+    PackAFn packA;         ///< strip-pack (+ fused quantize) A panels
+    PackBFn packB;         ///< strip-pack (+ fused quantize) B panels
+    GemmStripFn gemmStrip; ///< register-tiled A strip x packed B
     QuantizeNearestFn quantizeNearest;
     Bf16RoundFn bf16Round;
     MaxAbsFn maxAbs;

@@ -8,11 +8,11 @@
  * baseline x86-64.
  *
  * Kernel contracts (simd/kernels.h):
- *   - GEMM blocks keep the scalar backend's block decomposition and a
- *     fixed per-element accumulation order, so results are
- *     bit-identical across thread counts *within this backend*; FMA
- *     contraction and 8-lane accumulators make low-order bits differ
- *     from the scalar backend (tests bound the relative error).
+ *   - The GEMM strip kernel keeps the scalar backend's per-element
+ *     k-ascending accumulation order, so results are bit-identical
+ *     across thread counts *within this backend*; FMA contraction
+ *     makes low-order bits differ from the scalar backend (tests bound
+ *     the relative error).
  *   - The quantize / bf16-round / max-abs kernels reproduce the scalar
  *     codec bit for bit (tests assert exact equality): every step
  *     below is an exact power-of-two scale, an exact bit manipulation,
@@ -35,199 +35,6 @@ namespace snip {
 namespace simd {
 
 namespace {
-
-// ------------------------------------------------------------- GEMM
-
-float
-hsum8(__m256 v)
-{
-    __m128 lo = _mm256_castps256_ps128(v);
-    __m128 hi = _mm256_extractf128_ps(v, 1);
-    lo = _mm_add_ps(lo, hi);
-    __m128 sh = _mm_movehl_ps(lo, lo);
-    lo = _mm_add_ps(lo, sh);
-    sh = _mm_shuffle_ps(lo, lo, 0x1);
-    lo = _mm_add_ss(lo, sh);
-    return _mm_cvtss_f32(lo);
-}
-
-/** One dot product arow·brow with 8-wide FMA and a scalar tail. */
-float
-dotAvx2(const float *arow, const float *brow, int64_t k)
-{
-    const int64_t k8 = k & ~int64_t{7};
-    __m256 acc = _mm256_setzero_ps();
-    for (int64_t kk = 0; kk < k8; kk += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk),
-                              _mm256_loadu_ps(brow + kk), acc);
-    float sum = hsum8(acc);
-    for (int64_t kk = k8; kk < k; ++kk)
-        sum += arow[kk] * brow[kk];
-    return sum;
-}
-
-/**
- * NT register-tiled microkernel: a 2-row x 4-column tile of C is held
- * in eight 8-lane accumulators, so every A load feeds four FMAs and
- * every B load two. Operand panels are contiguous along K already (A
- * row-major M x K, B row-major N x K), so no copy-pack step is needed
- * — the packed layout the microkernel wants is the layout it gets.
- * The tile walk over a block is a pure function of the block bounds,
- * never of the thread count.
- */
-void
-gemmNtBlockAvx2(const float *a, const float *b, float *c, int64_t i0,
-                int64_t i1, int64_t /*m*/, int64_t n, int64_t k)
-{
-    const int64_t k8 = k & ~int64_t{7};
-    for (int64_t j0 = 0; j0 < n; j0 += kGemmBlockN) {
-        const int64_t j1 = std::min(j0 + kGemmBlockN, n);
-        int64_t i = i0;
-        for (; i + 2 <= i1; i += 2) {
-            const float *a0 = a + i * k;
-            const float *a1 = a0 + k;
-            float *c0 = c + i * n;
-            float *c1 = c0 + n;
-            int64_t j = j0;
-            for (; j + 4 <= j1; j += 4) {
-                const float *b0 = b + j * k;
-                const float *b1 = b0 + k;
-                const float *b2 = b1 + k;
-                const float *b3 = b2 + k;
-                __m256 acc00 = _mm256_setzero_ps();
-                __m256 acc01 = _mm256_setzero_ps();
-                __m256 acc02 = _mm256_setzero_ps();
-                __m256 acc03 = _mm256_setzero_ps();
-                __m256 acc10 = _mm256_setzero_ps();
-                __m256 acc11 = _mm256_setzero_ps();
-                __m256 acc12 = _mm256_setzero_ps();
-                __m256 acc13 = _mm256_setzero_ps();
-                for (int64_t kk = 0; kk < k8; kk += 8) {
-                    __m256 va0 = _mm256_loadu_ps(a0 + kk);
-                    __m256 va1 = _mm256_loadu_ps(a1 + kk);
-                    __m256 vb0 = _mm256_loadu_ps(b0 + kk);
-                    __m256 vb1 = _mm256_loadu_ps(b1 + kk);
-                    __m256 vb2 = _mm256_loadu_ps(b2 + kk);
-                    __m256 vb3 = _mm256_loadu_ps(b3 + kk);
-                    acc00 = _mm256_fmadd_ps(va0, vb0, acc00);
-                    acc01 = _mm256_fmadd_ps(va0, vb1, acc01);
-                    acc02 = _mm256_fmadd_ps(va0, vb2, acc02);
-                    acc03 = _mm256_fmadd_ps(va0, vb3, acc03);
-                    acc10 = _mm256_fmadd_ps(va1, vb0, acc10);
-                    acc11 = _mm256_fmadd_ps(va1, vb1, acc11);
-                    acc12 = _mm256_fmadd_ps(va1, vb2, acc12);
-                    acc13 = _mm256_fmadd_ps(va1, vb3, acc13);
-                }
-                float s00 = hsum8(acc00), s01 = hsum8(acc01);
-                float s02 = hsum8(acc02), s03 = hsum8(acc03);
-                float s10 = hsum8(acc10), s11 = hsum8(acc11);
-                float s12 = hsum8(acc12), s13 = hsum8(acc13);
-                for (int64_t kk = k8; kk < k; ++kk) {
-                    float av0 = a0[kk], av1 = a1[kk];
-                    s00 += av0 * b0[kk];
-                    s01 += av0 * b1[kk];
-                    s02 += av0 * b2[kk];
-                    s03 += av0 * b3[kk];
-                    s10 += av1 * b0[kk];
-                    s11 += av1 * b1[kk];
-                    s12 += av1 * b2[kk];
-                    s13 += av1 * b3[kk];
-                }
-                c0[j] += s00;
-                c0[j + 1] += s01;
-                c0[j + 2] += s02;
-                c0[j + 3] += s03;
-                c1[j] += s10;
-                c1[j + 1] += s11;
-                c1[j + 2] += s12;
-                c1[j + 3] += s13;
-            }
-            for (; j < j1; ++j) {
-                const float *brow = b + j * k;
-                c0[j] += dotAvx2(a0, brow, k);
-                c1[j] += dotAvx2(a1, brow, k);
-            }
-        }
-        for (; i < i1; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            for (int64_t j = j0; j < j1; ++j)
-                crow[j] += dotAvx2(arow, b + j * k, k);
-        }
-    }
-}
-
-/** Shared NN/TN inner sweep: crow[0..n) += av * brow[0..n). */
-inline void
-axpyRowAvx2(float av, const float *brow, float *crow, int64_t n)
-{
-    const __m256 vav = _mm256_set1_ps(av);
-    const int64_t n8 = n & ~int64_t{7};
-    for (int64_t j = 0; j < n8; j += 8) {
-        __m256 cv = _mm256_loadu_ps(crow + j);
-        cv = _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), cv);
-        _mm256_storeu_ps(crow + j, cv);
-    }
-    for (int64_t j = n8; j < n; ++j)
-        crow[j] += av * brow[j];
-}
-
-void
-gemmNnBlockAvx2(const float *a, const float *b, float *c, int64_t i0,
-                int64_t i1, int64_t /*m*/, int64_t n, int64_t k)
-{
-    // Same k-blocked structure as the scalar backend; per C element
-    // the kk addition order is unchanged (an unrolled pair issues its
-    // two FMAs in kk order), so this backend is thread-count-invariant.
-    for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
-        const int64_t k1 = std::min(k0 + kGemmBlockK, k);
-        for (int64_t i = i0; i < i1; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            const int64_t n8 = n & ~int64_t{7};
-            int64_t kk = k0;
-            for (; kk + 2 <= k1; kk += 2) {
-                const __m256 va0 = _mm256_set1_ps(arow[kk]);
-                const __m256 va1 = _mm256_set1_ps(arow[kk + 1]);
-                const float *b0 = b + kk * n;
-                const float *b1 = b0 + n;
-                for (int64_t j = 0; j < n8; j += 8) {
-                    __m256 cv = _mm256_loadu_ps(crow + j);
-                    cv = _mm256_fmadd_ps(va0, _mm256_loadu_ps(b0 + j),
-                                         cv);
-                    cv = _mm256_fmadd_ps(va1, _mm256_loadu_ps(b1 + j),
-                                         cv);
-                    _mm256_storeu_ps(crow + j, cv);
-                }
-                for (int64_t j = n8; j < n; ++j) {
-                    crow[j] += arow[kk] * b0[j];
-                    crow[j] += arow[kk + 1] * b1[j];
-                }
-            }
-            for (; kk < k1; ++kk)
-                axpyRowAvx2(arow[kk], b + kk * n, crow, n);
-        }
-    }
-}
-
-void
-gemmTnBlockAvx2(const float *a, const float *b, float *c, int64_t i0,
-                int64_t i1, int64_t m, int64_t n, int64_t k)
-{
-    for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
-        const int64_t k1 = std::min(k0 + kGemmBlockK, k);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-            const float *arow = a + kk * m;
-            const float *brow = b + kk * n;
-            for (int64_t i = i0; i < i1; ++i) {
-                float av = arow[i];
-                if (av == 0.0f)
-                    continue;
-                axpyRowAvx2(av, brow, c + i * n, n);
-            }
-        }
-    }
-}
 
 // ------------------------------------------------------------ packed
 
@@ -584,93 +391,125 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
 }
 
 /**
- * 6 x 16 register-tiled packed microkernel: twelve 8-lane accumulators
- * hold the C tile; each k step issues two B loads, six A broadcasts
- * and twelve FMAs. Lanes map one-to-one onto C columns, so every C
- * element accumulates its k-products in ascending-k order — the
- * packed path's fixed accumulation order (no cross-lane reduction at
- * all, unlike the unpacked NT kernel's hsum).
+ * R x 16 register-tiled microkernel, R <= 6: 2R 8-lane accumulators
+ * hold the C tile; each k step issues two B loads, R A broadcasts and
+ * 2R FMAs. Lanes map one-to-one onto C columns, so every C element
+ * accumulates its k-products in ascending-k order in one FMA chain —
+ * the same chain for every R, which is what makes a C row independent
+ * of the rows sharing its strip. A is read through (a_rs, a_ks), so a
+ * packed strip and an in-place operand run the same code.
  */
+template <int R>
 inline void
-microKernel6x16(const float *as, const float *bs, float *c, int64_t ldc,
-                int64_t mr, int64_t jn, int64_t k)
+microKernel(const float *a, int64_t a_rs, int64_t a_ks, const float *bs,
+            float *c, int64_t ldc, int64_t jn, int64_t k)
 {
+    static_assert(R >= 1 && R <= 6, "one register tile row per A row");
+    // Named accumulators (not arrays) keep all 2R in registers; rows at
+    // or past R are dead code for this instantiation.
     __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
     __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
     __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
     __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
     __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
     __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
+    const float *a0 = a;
+    const float *a1 = R > 1 ? a + a_rs : a;
+    const float *a2 = R > 2 ? a + 2 * a_rs : a;
+    const float *a3 = R > 3 ? a + 3 * a_rs : a;
+    const float *a4 = R > 4 ? a + 4 * a_rs : a;
+    const float *a5 = R > 5 ? a + 5 * a_rs : a;
     for (int64_t kk = 0; kk < k; ++kk) {
-        // Pull the B strip (and A strip) a few iterations ahead: the
-        // panels stream from L2/L3 at large k and the FMA chain hides
-        // no miss latency on its own.
+        // Pull the B strip (and A) a few iterations ahead: the panels
+        // stream from L2/L3 at large k and the FMA chain hides no
+        // miss latency on its own.
         _mm_prefetch(reinterpret_cast<const char *>(bs + (kk + 24) * 16),
                      _MM_HINT_T0);
-        _mm_prefetch(reinterpret_cast<const char *>(as + (kk + 16) * 6),
+        _mm_prefetch(reinterpret_cast<const char *>(a + (kk + 16) * a_ks),
                      _MM_HINT_T0);
         const __m256 b0 = _mm256_loadu_ps(bs + kk * 16);
         const __m256 b1 = _mm256_loadu_ps(bs + kk * 16 + 8);
-        const float *a = as + kk * 6;
-        __m256 va = _mm256_broadcast_ss(a + 0);
+        const int64_t off = kk * a_ks;
+        __m256 va = _mm256_broadcast_ss(a0 + off);
         c00 = _mm256_fmadd_ps(va, b0, c00);
         c01 = _mm256_fmadd_ps(va, b1, c01);
-        va = _mm256_broadcast_ss(a + 1);
-        c10 = _mm256_fmadd_ps(va, b0, c10);
-        c11 = _mm256_fmadd_ps(va, b1, c11);
-        va = _mm256_broadcast_ss(a + 2);
-        c20 = _mm256_fmadd_ps(va, b0, c20);
-        c21 = _mm256_fmadd_ps(va, b1, c21);
-        va = _mm256_broadcast_ss(a + 3);
-        c30 = _mm256_fmadd_ps(va, b0, c30);
-        c31 = _mm256_fmadd_ps(va, b1, c31);
-        va = _mm256_broadcast_ss(a + 4);
-        c40 = _mm256_fmadd_ps(va, b0, c40);
-        c41 = _mm256_fmadd_ps(va, b1, c41);
-        va = _mm256_broadcast_ss(a + 5);
-        c50 = _mm256_fmadd_ps(va, b0, c50);
-        c51 = _mm256_fmadd_ps(va, b1, c51);
+        if (R > 1) {
+            va = _mm256_broadcast_ss(a1 + off);
+            c10 = _mm256_fmadd_ps(va, b0, c10);
+            c11 = _mm256_fmadd_ps(va, b1, c11);
+        }
+        if (R > 2) {
+            va = _mm256_broadcast_ss(a2 + off);
+            c20 = _mm256_fmadd_ps(va, b0, c20);
+            c21 = _mm256_fmadd_ps(va, b1, c21);
+        }
+        if (R > 3) {
+            va = _mm256_broadcast_ss(a3 + off);
+            c30 = _mm256_fmadd_ps(va, b0, c30);
+            c31 = _mm256_fmadd_ps(va, b1, c31);
+        }
+        if (R > 4) {
+            va = _mm256_broadcast_ss(a4 + off);
+            c40 = _mm256_fmadd_ps(va, b0, c40);
+            c41 = _mm256_fmadd_ps(va, b1, c41);
+        }
+        if (R > 5) {
+            va = _mm256_broadcast_ss(a5 + off);
+            c50 = _mm256_fmadd_ps(va, b0, c50);
+            c51 = _mm256_fmadd_ps(va, b1, c51);
+        }
     }
-    const __m256 *acc[6][2] = {{&c00, &c01}, {&c10, &c11},
-                               {&c20, &c21}, {&c30, &c31},
-                               {&c40, &c41}, {&c50, &c51}};
+    const __m256 acc[6][2] = {{c00, c01}, {c10, c11}, {c20, c21},
+                              {c30, c31}, {c40, c41}, {c50, c51}};
     if (jn == 16) {
-        for (int64_t r = 0; r < mr; ++r) {
+        for (int r = 0; r < R; ++r) {
             float *crow = c + r * ldc;
             _mm256_storeu_ps(
-                crow, _mm256_add_ps(_mm256_loadu_ps(crow), *acc[r][0]));
-            _mm256_storeu_ps(crow + 8,
-                             _mm256_add_ps(_mm256_loadu_ps(crow + 8),
-                                           *acc[r][1]));
+                crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
+            _mm256_storeu_ps(
+                crow + 8,
+                _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]));
         }
         return;
     }
     alignas(32) float t[16];
-    for (int64_t r = 0; r < mr; ++r) {
-        _mm256_store_ps(t, *acc[r][0]);
-        _mm256_store_ps(t + 8, *acc[r][1]);
+    for (int r = 0; r < R; ++r) {
+        _mm256_store_ps(t, acc[r][0]);
+        _mm256_store_ps(t + 8, acc[r][1]);
         float *crow = c + r * ldc;
         for (int64_t j = 0; j < jn; ++j)
             crow[j] += t[j];
     }
 }
 
+template <int R>
 void
-gemmPackedBlockAvx2(const float *ap, const float *bp, float *c,
-                    int64_t ldc, int64_t mb, int64_t n, int64_t k)
+stripLoop(const float *a, int64_t a_rs, int64_t a_ks, const float *bp,
+          float *c, int64_t ldc, int64_t n, int64_t k)
 {
-    const int64_t m_strips = packStrips(mb, kGemmPackMR);
-    const int64_t n_strips = packStrips(n, kGemmPackNR);
-    for (int64_t js = 0; js < n_strips; ++js) {
-        const float *bs = bp + js * kGemmPackNR * k;
-        const int64_t j0 = js * kGemmPackNR;
-        const int64_t jn = std::min(kGemmPackNR, n - j0);
-        for (int64_t ms = 0; ms < m_strips; ++ms) {
-            const int64_t i0 = ms * kGemmPackMR;
-            microKernel6x16(ap + ms * kGemmPackMR * k, bs,
-                            c + i0 * ldc + j0, ldc,
-                            std::min(kGemmPackMR, mb - i0), jn, k);
-        }
+    for (int64_t j0 = 0; j0 < n; j0 += kGemmPackNR)
+        microKernel<R>(a, a_rs, a_ks, bp + j0 * k, c + j0, ldc,
+                       std::min(kGemmPackNR, n - j0), k);
+}
+
+void
+gemmStripAvx2(const float *a, int64_t a_rs, int64_t a_ks, const float *bp,
+              float *c, int64_t ldc, int64_t mr, int64_t n, int64_t k)
+{
+    static_assert(kGemmPackMR == 6, "one stripLoop case per strip row");
+    switch (mr) {
+        case 1:
+            return stripLoop<1>(a, a_rs, a_ks, bp, c, ldc, n, k);
+        case 2:
+            return stripLoop<2>(a, a_rs, a_ks, bp, c, ldc, n, k);
+        case 3:
+            return stripLoop<3>(a, a_rs, a_ks, bp, c, ldc, n, k);
+        case 4:
+            return stripLoop<4>(a, a_rs, a_ks, bp, c, ldc, n, k);
+        case 5:
+            return stripLoop<5>(a, a_rs, a_ks, bp, c, ldc, n, k);
+        default:
+            return stripLoop<6>(a, a_rs, a_ks, bp, c, ldc, n, k);
     }
 }
 
@@ -959,11 +798,14 @@ const KernelTable &
 avx2Kernels()
 {
     static const KernelTable table = {
-        "avx2",          gemmNtBlockAvx2, gemmNnBlockAvx2,
-        gemmTnBlockAvx2, packAAvx2,       packBAvx2,
-        gemmPackedBlockAvx2,
+        "avx2",
+        packAAvx2,
+        packBAvx2,
+        gemmStripAvx2,
         quantizeNearestAvx2,
-        bf16RoundAvx2,   maxAbsAvx2,      errorStatsAvx2,
+        bf16RoundAvx2,
+        maxAbsAvx2,
+        errorStatsAvx2,
         sumSquaresAvx2,
         attnSoftmaxFwdAvx2,
         attnSoftmaxBwdAvx2,

@@ -2,9 +2,9 @@
  * @file
  * Portable scalar backend: the plain C++ kernels every build compiles.
  *
- * These are the reference implementations — the GEMM blocks are the
- * cache-blocked loops the library shipped before runtime dispatch
- * existed, and the quantize sweep calls the scalar codec directly.
+ * These are the reference implementations — the GEMM strip kernel is
+ * the plain loop nest over the packed layout, and the quantize sweep
+ * calls the scalar codec directly.
  * tests/test_simd.cpp holds the AVX2 backend to these outputs.
  */
 #include <algorithm>
@@ -19,70 +19,6 @@ namespace snip {
 namespace simd {
 
 namespace {
-
-void
-gemmNtBlockScalar(const float *a, const float *b, float *c, int64_t i0,
-                  int64_t i1, int64_t /*m*/, int64_t n, int64_t k)
-{
-    // Each C element is one dot product; the N-blocked loop order is
-    // fixed, so any thread count reproduces the same bits.
-    for (int64_t j0 = 0; j0 < n; j0 += kGemmBlockN) {
-        int64_t j1 = std::min(j0 + kGemmBlockN, n);
-        for (int64_t i = i0; i < i1; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            for (int64_t j = j0; j < j1; ++j) {
-                const float *brow = b + j * k;
-                float acc = 0.0f;
-                for (int64_t kk = 0; kk < k; ++kk)
-                    acc += arow[kk] * brow[kk];
-                crow[j] += acc;
-            }
-        }
-    }
-}
-
-void
-gemmNnBlockScalar(const float *a, const float *b, float *c, int64_t i0,
-                  int64_t i1, int64_t /*m*/, int64_t n, int64_t k)
-{
-    for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
-        int64_t k1 = std::min(k0 + kGemmBlockK, k);
-        for (int64_t i = i0; i < i1; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            for (int64_t kk = k0; kk < k1; ++kk) {
-                float av = arow[kk];
-                const float *brow = b + kk * n;
-                for (int64_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    }
-}
-
-void
-gemmTnBlockScalar(const float *a, const float *b, float *c, int64_t i0,
-                  int64_t i1, int64_t m, int64_t n, int64_t k)
-{
-    // C[i,j] += sum_kk A[kk,i] * B[kk,j]; kk stays the outer loop so A
-    // and B are read row-wise. Per C row the kk order is fixed.
-    for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
-        int64_t k1 = std::min(k0 + kGemmBlockK, k);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-            const float *arow = a + kk * m;
-            const float *brow = b + kk * n;
-            for (int64_t i = i0; i < i1; ++i) {
-                float av = arow[i];
-                if (av == 0.0f)
-                    continue;
-                float *crow = c + i * n;
-                for (int64_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    }
-}
 
 // ------------------------------------------------------------ packing
 
@@ -158,36 +94,30 @@ packBScalar(const float *src, int64_t ld, bool k_major, float *bp,
 }
 
 void
-gemmPackedBlockScalar(const float *ap, const float *bp, float *c,
-                      int64_t ldc, int64_t mb, int64_t n, int64_t k)
+gemmStripScalar(const float *a, int64_t a_rs, int64_t a_ks,
+                const float *bp, float *c, int64_t ldc, int64_t mr,
+                int64_t n, int64_t k)
 {
-    const int64_t m_strips = packStrips(mb, kGemmPackMR);
     const int64_t n_strips = packStrips(n, kGemmPackNR);
     for (int64_t js = 0; js < n_strips; ++js) {
         const float *bs = bp + js * kGemmPackNR * k;
         const int64_t j0 = js * kGemmPackNR;
         const int64_t jn = std::min(kGemmPackNR, n - j0);
-        for (int64_t ms = 0; ms < m_strips; ++ms) {
-            const float *as = ap + ms * kGemmPackMR * k;
-            const int64_t i0 = ms * kGemmPackMR;
-            const int64_t mr = std::min(kGemmPackMR, mb - i0);
-            // Per C element the sum runs over k ascending — the fixed
-            // accumulation order of the packed-path contract.
-            float acc[kGemmPackMR][kGemmPackNR] = {};
-            for (int64_t kk = 0; kk < k; ++kk) {
-                const float *av = as + kk * kGemmPackMR;
-                const float *bv = bs + kk * kGemmPackNR;
-                for (int64_t r = 0; r < kGemmPackMR; ++r) {
-                    const float a = av[r];
-                    for (int64_t j = 0; j < kGemmPackNR; ++j)
-                        acc[r][j] += a * bv[j];
-                }
-            }
+        // Per C element the sum runs over k ascending — the fixed
+        // accumulation order of the strip contract.
+        float acc[kGemmPackMR][kGemmPackNR] = {};
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const float *bv = bs + kk * kGemmPackNR;
             for (int64_t r = 0; r < mr; ++r) {
-                float *crow = c + (i0 + r) * ldc + j0;
-                for (int64_t j = 0; j < jn; ++j)
-                    crow[j] += acc[r][j];
+                const float av = a[r * a_rs + kk * a_ks];
+                for (int64_t j = 0; j < kGemmPackNR; ++j)
+                    acc[r][j] += av * bv[j];
             }
+        }
+        for (int64_t r = 0; r < mr; ++r) {
+            float *crow = c + r * ldc + j0;
+            for (int64_t j = 0; j < jn; ++j)
+                crow[j] += acc[r][j];
         }
     }
 }
@@ -299,11 +229,14 @@ const KernelTable &
 scalarKernels()
 {
     static const KernelTable table = {
-        "scalar",          gemmNtBlockScalar, gemmNnBlockScalar,
-        gemmTnBlockScalar, packAScalar,       packBScalar,
-        gemmPackedBlockScalar,
+        "scalar",
+        packAScalar,
+        packBScalar,
+        gemmStripScalar,
         quantizeNearestScalar,
-        bf16RoundScalar,   maxAbsScalar,      errorStatsScalar,
+        bf16RoundScalar,
+        maxAbsScalar,
+        errorStatsScalar,
         sumSquaresScalar,
         attnSoftmaxFwdScalar,
         attnSoftmaxBwdScalar,

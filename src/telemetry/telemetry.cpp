@@ -188,10 +188,6 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     r += ", \"gemm\": {";
     appendInt(r, "calls", counterDelta(now, prev, Counter::GemmCalls),
               true);
-    appendInt(r, "packed_calls",
-              counterDelta(now, prev, Counter::GemmPackedCalls), false);
-    appendInt(r, "legacy_calls",
-              counterDelta(now, prev, Counter::GemmLegacyCalls), false);
     appendInt(r, "batched_items",
               counterDelta(now, prev, Counter::GemmBatchedItems), false);
     appendInt(r, "flops", flops, false);

@@ -85,9 +85,7 @@ namespace telemetry {
  *  independent totals for all of these (tests/test_telemetry.cpp). */
 enum class Counter : int
 {
-    GemmCalls,         ///< GEMM driver invocations (any path)
-    GemmPackedCalls,   ///< ... that ran the packed pipeline
-    GemmLegacyCalls,   ///< ... that ran the pre-packing path
+    GemmCalls,         ///< GEMM driver invocations
     GemmBatchedItems,  ///< items executed by strided-batch drivers
     GemmFlops,         ///< 2*m*n*k summed over all GEMM work
     PackCacheHits,     ///< PackedWeightCache: panel served as-is

@@ -23,69 +23,26 @@ using simd::kGemmPackMR;
 using simd::kGemmPackNR;
 using simd::packStrips;
 
-/// Number of kGemmBlockM-row blocks (the parallelFor unit for all
-/// paths: every worker owns whole rows of C, so outputs are disjoint
-/// and the per-element accumulation order never depends on thread
-/// count).
+/// Floats of packed panel per parallelFor chunk of a B pack: smaller
+/// panels pack on the calling thread, since handing a few microseconds
+/// of copying to the pool costs more than it saves. Packing is a pure
+/// copy, so the chunking never changes numerics.
+constexpr int64_t kPackChunkFloats = int64_t{1} << 14;
+
+/// parallelFor grain for packing units of @p unit_floats floats each.
+int64_t
+packGrain(int64_t unit_floats)
+{
+    return std::max<int64_t>(1, kPackChunkFloats / unit_floats);
+}
+
+/// Number of kGemmBlockM-row blocks (the parallelFor unit: every
+/// worker owns whole rows of C, so outputs are disjoint and the
+/// per-element accumulation order never depends on thread count).
 int64_t
 mBlocks(int64_t m)
 {
     return (m + simd::kGemmBlockM - 1) / simd::kGemmBlockM;
-}
-
-// ------------------------------------------------------- legacy path
-
-/** One legacy gemmBlocked invocation; the parallelFor lambda captures
- *  only a pointer to this (fits every std::function SBO, so the call
- *  allocates nothing). */
-struct LegacyCtx
-{
-    simd::GemmBlockFn block_fn;
-    const float *a;
-    const float *b;
-    float *c;
-    int64_t m, n, k;
-    bool accumulate;
-};
-
-/**
- * Unpacked driver, the small-shape path (below the gemmPackEnabled()
- * thresholds): fan M-blocks of C out over the thread pool and hand
- * each block to the dispatched backend microkernel. Zeroing happens
- * here (backend-independent) so the kernels always accumulate.
- *
- * It stays because small decode shapes are memory-bound and the pack
- * copy costs more than it saves there: forcing every GEMM through the
- * packed pipeline measured 19.4-23.8k tok/s against 22.5-28.0k, and
- * ITL p50 0.23-0.29 ms against 0.15-0.20 ms, on the serve_fp32kv
- * benchmark workload (perfbench/run.py --threads 2, 4-vCPU x86-64
- * AVX2 host), while training throughput did not change.
- */
-void
-gemmBlockedLegacy(simd::GemmBlockFn block_fn, const float *a,
-                  const float *b, float *c, int64_t m, int64_t n,
-                  int64_t k, bool accumulate)
-{
-    telemetry::Scope span(telemetry::Timer::Gemm, "gemm", "m", m, "n",
-                          n);
-    telemetry::count(telemetry::Counter::GemmCalls);
-    telemetry::count(telemetry::Counter::GemmLegacyCalls);
-    telemetry::count(telemetry::Counter::GemmFlops, 2 * m * n * k);
-    LegacyCtx ctx{block_fn, a, b, c, m, n, k, accumulate};
-    const LegacyCtx *pc = &ctx;
-    runtime::parallelFor(0, mBlocks(m), 1, [pc](int64_t b0, int64_t b1) {
-        for (int64_t bi = b0; bi < b1; ++bi) {
-            const int64_t i0 = bi * simd::kGemmBlockM;
-            const int64_t i1 =
-                std::min(i0 + simd::kGemmBlockM, pc->m);
-            if (!pc->accumulate)
-                std::memset(pc->c + i0 * pc->n, 0,
-                            sizeof(float) *
-                                static_cast<size_t>((i1 - i0) * pc->n));
-            pc->block_fn(pc->a, pc->b, pc->c, i0, i1, pc->m, pc->n,
-                         pc->k);
-        }
-    });
 }
 
 // ---------------------------------------------- fused-quant plumbing
@@ -132,9 +89,46 @@ setupOperandQuant(OperandQuant &oq, const simd::KernelTable &kt,
     bindOperandQuant(oq, cfg, regions, scale, inv);
 }
 
-// ----------------------------------------------------- packed driver
+// ------------------------------------------------------------ driver
 
-/** One packed GEMM invocation (lambdas capture a pointer to this). */
+/**
+ * Rows [i0, i1) — one M-block — of C (+)= A * Bp. The block's A strips
+ * are packed into the calling thread's arena (fused-quantizing under
+ * @p aq) and streamed through the strip microkernel. A block shorter
+ * than one strip with nothing to quantize (decode rows, the ragged end
+ * of a batch item) is read in place instead: the pack would only copy
+ * it. Both forms run the same per-element FMA chain.
+ */
+void
+gemmBlock(const simd::KernelTable &kt, const float *a, int64_t a_ld,
+          bool a_k_major, const simd::PackQuant *aq, const float *bp,
+          float *c, int64_t i0, int64_t i1, int64_t n, int64_t k,
+          bool accumulate)
+{
+    const int64_t mb = i1 - i0;
+    float *cb = c + i0 * n;
+    if (!accumulate)
+        std::memset(cb, 0, sizeof(float) * static_cast<size_t>(mb * n));
+    if (aq == nullptr && mb < kGemmPackMR) {
+        if (a_k_major)
+            kt.gemmStrip(a + i0, 1, a_ld, bp, cb, n, mb, n, k);
+        else
+            kt.gemmStrip(a + i0 * a_ld, a_ld, 1, bp, cb, n, mb, n, k);
+        return;
+    }
+    runtime::WorkspaceArena &arena =
+        runtime::WorkspaceArena::forCurrentThread();
+    runtime::ArenaScope scope(arena);
+    // +8: PackAFn transpose-store headroom (kernels.h).
+    float *ap = arena.getFloats(static_cast<size_t>(
+        packStrips(mb, kGemmPackMR) * kGemmPackMR * k + 8));
+    kt.packA(a, a_ld, a_k_major, ap, i0, i1, k, aq);
+    for (int64_t r0 = 0; r0 < mb; r0 += kGemmPackMR)
+        kt.gemmStrip(ap + r0 * k, 1, kGemmPackMR, bp, cb + r0 * n, n,
+                     std::min(kGemmPackMR, mb - r0), n, k);
+}
+
+/** One GEMM invocation (lambdas capture a pointer to this). */
 struct PackedCtx
 {
     const simd::KernelTable *kt;
@@ -153,15 +147,15 @@ struct PackedCtx
     const simd::PackQuant *bq = nullptr;
 };
 
-/** Pack the whole B operand into bp_mut, one strip per parallel
- *  unit (pure copies + grid snaps: deterministic under any
- *  partition). */
+/** Pack the whole B operand into bp_mut, strips fanned over the pool
+ *  (pure copies + grid snaps: deterministic under any partition). */
 void
 packBPhase(const PackedCtx *ctx)
 {
     const int64_t strips = packStrips(ctx->n, kGemmPackNR);
     runtime::parallelFor(
-        0, strips, 1, [ctx](int64_t s0, int64_t s1) {
+        0, strips, packGrain(kGemmPackNR * ctx->k),
+        [ctx](int64_t s0, int64_t s1) {
             const int64_t j0 = s0 * kGemmPackNR;
             const int64_t j1 =
                 std::min(ctx->n, s1 * kGemmPackNR);
@@ -171,13 +165,7 @@ packBPhase(const PackedCtx *ctx)
         });
 }
 
-/**
- * The packed loop nest: every M-block packs its A panel into the
- * executing thread's arena (fused-quantizing when configured), then
- * streams the shared packed B panel through the register-tiled block
- * microkernel. M-block ownership and the per-element k-ascending
- * accumulation are identical for any thread count.
- */
+/** Fan the M-blocks of C over the pool against the packed B panel. */
 void
 gemmPhase(const PackedCtx *ctx)
 {
@@ -185,27 +173,10 @@ gemmPhase(const PackedCtx *ctx)
         0, mBlocks(ctx->m), 1, [ctx](int64_t b0, int64_t b1) {
             for (int64_t bi = b0; bi < b1; ++bi) {
                 const int64_t i0 = bi * simd::kGemmBlockM;
-                const int64_t i1 =
-                    std::min(i0 + simd::kGemmBlockM, ctx->m);
-                const int64_t mb = i1 - i0;
-                runtime::WorkspaceArena &arena =
-                    runtime::WorkspaceArena::forCurrentThread();
-                runtime::ArenaScope scope(arena);
-                // +8: PackAFn transpose-store headroom (kernels.h).
-                float *ap = arena.getFloats(static_cast<size_t>(
-                    packStrips(mb, kGemmPackMR) * kGemmPackMR *
-                        ctx->k +
-                    8));
-                ctx->kt->packA(ctx->a, ctx->a_ld, ctx->a_k_major, ap,
-                               i0, i1, ctx->k, ctx->aq);
-                if (!ctx->accumulate)
-                    std::memset(
-                        ctx->c + i0 * ctx->n, 0,
-                        sizeof(float) *
-                            static_cast<size_t>(mb * ctx->n));
-                ctx->kt->gemmPackedBlock(ap, ctx->bp,
-                                         ctx->c + i0 * ctx->n, ctx->n,
-                                         mb, ctx->n, ctx->k);
+                gemmBlock(*ctx->kt, ctx->a, ctx->a_ld, ctx->a_k_major,
+                          ctx->aq, ctx->bp, ctx->c, i0,
+                          std::min(i0 + simd::kGemmBlockM, ctx->m),
+                          ctx->n, ctx->k, ctx->accumulate);
             }
         });
 }
@@ -300,12 +271,6 @@ invalidateWeightPacks()
     g_weight_epoch.fetch_add(1, std::memory_order_acq_rel);
 }
 
-uint64_t
-weightPackEpoch()
-{
-    return g_weight_epoch.load(std::memory_order_acquire);
-}
-
 namespace {
 
 /**
@@ -314,52 +279,76 @@ namespace {
  * its policy and epoch agree — the weight is then quantized once per
  * step even though both orientations pack it. Buffers are retained
  * across epochs, so a steady-state repack allocates nothing.
+ *
+ * The rebuild itself runs outside the cache lock: the scale pass and
+ * packBPhase fan out over the pool, whose submitter holds the pool's
+ * submit lock while it runs chunks — and a chunk may run this layer
+ * (a sharded eval), so holding the cache lock across a parallelFor
+ * would invert the two locks' order. A layer runs one GEMM at a time,
+ * so nothing else touches the slot while it is rebuilt.
  */
 const float *
 cachedPackB(PackedWeightCache *cache, int orient, PackedCtx *ctx,
             const QuantConfig *cfg, int64_t src_rows, int64_t src_cols)
 {
     PackedWeightCache::Impl &impl = cache->impl();
-    util::MutexLock lk(impl.mu);
-    PackedWeightCache::Impl::Slot &slot = impl.slots[orient];
     const uint64_t epoch =
         g_weight_epoch.load(std::memory_order_acquire);
     const uint64_t key = policyKey(cfg);
-    if (slot.valid && slot.epoch == epoch && slot.key == key &&
-        slot.n == ctx->n && slot.k == ctx->k) {
-        telemetry::count(telemetry::Counter::PackCacheHits);
-        return slot.packed.data();
+    const RegionGrid regions =
+        cfg != nullptr ? RegionGrid(src_rows, src_cols, cfg->scaling)
+                       : RegionGrid();
+    float *packed = nullptr, *scale = nullptr, *inv = nullptr;
+    bool shared_scales = false;
+    {
+        util::MutexLock lk(impl.mu);
+        PackedWeightCache::Impl::Slot &slot = impl.slots[orient];
+        if (slot.valid && slot.epoch == epoch && slot.key == key &&
+            slot.n == ctx->n && slot.k == ctx->k) {
+            telemetry::count(telemetry::Counter::PackCacheHits);
+            return slot.packed.data();
+        }
+        telemetry::count(telemetry::Counter::PackCacheRebuilds);
+        slot.valid = false;
+        slot.packed.resize(static_cast<size_t>(
+            packStrips(ctx->n, kGemmPackNR) * kGemmPackNR * ctx->k));
+        packed = slot.packed.data();
+        if (cfg != nullptr) {
+            slot.scale.resize(static_cast<size_t>(regions.count()));
+            slot.inv.resize(static_cast<size_t>(regions.count()));
+            scale = slot.scale.data();
+            inv = slot.inv.data();
+            const PackedWeightCache::Impl::Slot &other =
+                impl.slots[1 - orient];
+            if (other.valid && other.epoch == epoch && other.key == key &&
+                other.src_rows == src_rows &&
+                other.src_cols == src_cols &&
+                other.scale.size() == slot.scale.size()) {
+                // Sibling orientation already quantized this weight
+                // under the same policy this step: reuse its scales.
+                std::copy(other.scale.begin(), other.scale.end(),
+                          slot.scale.begin());
+                std::copy(other.inv.begin(), other.inv.end(),
+                          slot.inv.begin());
+                shared_scales = true;
+            }
+        }
     }
-    telemetry::count(telemetry::Counter::PackCacheRebuilds);
-    slot.packed.resize(static_cast<size_t>(
-        packStrips(ctx->n, kGemmPackNR) * kGemmPackNR * ctx->k));
     OperandQuant bq;
     if (cfg != nullptr) {
-        const RegionGrid regions(src_rows, src_cols, cfg->scaling);
-        slot.scale.resize(static_cast<size_t>(regions.count()));
-        slot.inv.resize(static_cast<size_t>(regions.count()));
-        PackedWeightCache::Impl::Slot &other = impl.slots[1 - orient];
-        if (other.valid && other.epoch == epoch && other.key == key &&
-            other.src_rows == src_rows && other.src_cols == src_cols &&
-            other.scale.size() == slot.scale.size()) {
-            // Sibling orientation already quantized this weight under
-            // the same policy this step: reuse its scale pass.
-            std::copy(other.scale.begin(), other.scale.end(),
-                      slot.scale.begin());
-            std::copy(other.inv.begin(), other.inv.end(),
-                      slot.inv.begin());
-            bindOperandQuant(bq, *cfg, regions, slot.scale.data(),
-                             slot.inv.data());
-        } else {
-            setupOperandQuant(bq, *ctx->kt, *cfg, ctx->b, regions,
-                              slot.scale.data(), slot.inv.data());
-        }
+        if (shared_scales)
+            bindOperandQuant(bq, *cfg, regions, scale, inv);
+        else
+            setupOperandQuant(bq, *ctx->kt, *cfg, ctx->b, regions, scale,
+                              inv);
         ctx->bq = &bq.pq;
     }
-    ctx->bp_mut = slot.packed.data();
+    ctx->bp_mut = packed;
     packBPhase(ctx);
     ctx->bq = nullptr;
     ctx->bp_mut = nullptr;
+    util::MutexLock lk(impl.mu);
+    PackedWeightCache::Impl::Slot &slot = impl.slots[orient];
     slot.valid = true;
     slot.epoch = epoch;
     slot.key = key;
@@ -367,11 +356,11 @@ cachedPackB(PackedWeightCache *cache, int orient, PackedCtx *ctx,
     slot.k = ctx->k;
     slot.src_rows = src_rows;
     slot.src_cols = src_cols;
-    return slot.packed.data();
+    return packed;
 }
 
 /**
- * Shared packed driver. Source layouts per variant:
+ * The GEMM driver. Source layouts per variant:
  *   NT: A = src[M,K] (row-major), B = src[N,K]  -> b_k_major = false
  *   NN: A = src[M,K],             B = src[K,N]  -> b_k_major = true
  *   TN: A = src[K,M] (a_k_major), B = src[K,N]
@@ -394,10 +383,8 @@ packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
                         sizeof(float) * static_cast<size_t>(m * n));
         return;
     }
-    telemetry::Scope span(telemetry::Timer::Gemm, "gemm_packed", "m", m,
-                          "n", n);
+    telemetry::Scope span(telemetry::Timer::Gemm, "gemm", "m", m, "n", n);
     telemetry::count(telemetry::Counter::GemmCalls);
-    telemetry::count(telemetry::Counter::GemmPackedCalls);
     telemetry::count(telemetry::Counter::GemmFlops, 2 * m * n * k);
     const simd::KernelTable &kt = simd::activeKernels();
     runtime::WorkspaceArena &arena =
@@ -457,7 +444,6 @@ packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
 struct BatchedCtx
 {
     const simd::KernelTable *kt;
-    simd::GemmBlockFn block_fn; ///< per-item legacy kernel
     const float *a;
     int64_t a_stride, a_ld;
     bool a_k_major;
@@ -468,74 +454,54 @@ struct BatchedCtx
     int64_t c_stride;
     int64_t count, m, n, k, group;
     bool accumulate;
-    bool packed;
-    float *bp = nullptr;    ///< per-group packed B panels (NT/NN)
+    float *bp = nullptr; ///< per-group packed B panels (NT/NN)
     int64_t bp_stride = 0;
 };
 
-/** One batch item on the legacy kernels: the same zero + block-kernel
- *  sequence gemmBlockedLegacy runs, serial over the item's M-blocks
- *  (the worker owns the whole item). */
+/** One batch item against an already-packed B panel: the M-blocks
+ *  gemmPhase would issue, run serially (the worker owns the whole
+ *  item), so per-element accumulation order matches the per-item
+ *  entry points exactly. */
 void
-runItemLegacy(const BatchedCtx *ctx, const float *a, const float *b,
-              float *c, bool accumulate)
+runItem(const BatchedCtx *ctx, const float *a, const float *bp, float *c,
+        bool accumulate)
 {
-    for (int64_t bi = 0; bi < mBlocks(ctx->m); ++bi) {
-        const int64_t i0 = bi * simd::kGemmBlockM;
-        const int64_t i1 = std::min(i0 + simd::kGemmBlockM, ctx->m);
-        if (!accumulate)
-            std::memset(c + i0 * ctx->n, 0,
-                        sizeof(float) *
-                            static_cast<size_t>((i1 - i0) * ctx->n));
-        ctx->block_fn(a, b, c, i0, i1, ctx->m, ctx->n, ctx->k);
-    }
-}
-
-/** One batch item through the packed microkernel against an already-
- *  packed B panel: per M-block the same packA + zero + block stream
- *  gemmPhase issues, so per-element accumulation order matches the
- *  per-item gemmPacked* entry points exactly. */
-void
-runItemPacked(const BatchedCtx *ctx, const float *a, const float *bp,
-              float *c, bool accumulate)
-{
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
-    for (int64_t bi = 0; bi < mBlocks(ctx->m); ++bi) {
-        const int64_t i0 = bi * simd::kGemmBlockM;
-        const int64_t i1 = std::min(i0 + simd::kGemmBlockM, ctx->m);
-        const int64_t mb = i1 - i0;
-        runtime::ArenaScope scope(arena);
-        // +8: PackAFn transpose-store headroom (kernels.h).
-        float *ap = arena.getFloats(static_cast<size_t>(
-            packStrips(mb, kGemmPackMR) * kGemmPackMR * ctx->k + 8));
-        ctx->kt->packA(a, ctx->a_ld, ctx->a_k_major, ap, i0, i1, ctx->k,
-                       nullptr);
-        if (!accumulate)
-            std::memset(c + i0 * ctx->n, 0,
-                        sizeof(float) *
-                            static_cast<size_t>(mb * ctx->n));
-        ctx->kt->gemmPackedBlock(ap, bp, c + i0 * ctx->n, ctx->n, mb,
-                                 ctx->n, ctx->k);
-    }
+    for (int64_t i0 = 0; i0 < ctx->m; i0 += simd::kGemmBlockM)
+        gemmBlock(*ctx->kt, a, ctx->a_ld, ctx->a_k_major, nullptr, bp, c,
+                  i0, std::min(i0 + simd::kGemmBlockM, ctx->m), ctx->n,
+                  ctx->k, accumulate);
 }
 
 /** Shared NT/NN batched driver: pack each group's shared B once
  *  (phase 1), then fan whole items over the pool (phase 2). */
 void
-gemmBatchedStreamB(simd::GemmBlockFn block_fn, const float *a,
-                   int64_t a_stride, const float *b, int64_t b_stride,
-                   int64_t b_ld, bool b_k_major, float *c,
-                   int64_t c_stride, int64_t count, int64_t m, int64_t n,
-                   int64_t k, int64_t group, bool accumulate)
+gemmBatchedStreamB(const float *a, int64_t a_stride, const float *b,
+                   int64_t b_stride, int64_t b_ld, bool b_k_major,
+                   float *c, int64_t c_stride, int64_t count, int64_t m,
+                   int64_t n, int64_t k, int64_t group, bool accumulate)
 {
     if (count <= 0 || m <= 0 || n <= 0)
         return;
     SNIP_ASSERT(group >= 1 && count % group == 0,
                 "batched GEMM: count must be a multiple of group");
+    if (k <= 0) {
+        if (!accumulate)
+            for (int64_t i = 0; i < count; ++i)
+                std::memset(c + i * c_stride, 0,
+                            sizeof(float) * static_cast<size_t>(m * n));
+        return;
+    }
+    telemetry::Scope span(telemetry::Timer::Gemm, "gemm_batched",
+                          "items", count, "m", m);
+    telemetry::count(telemetry::Counter::GemmCalls);
+    telemetry::count(telemetry::Counter::GemmBatchedItems, count);
+    telemetry::count(telemetry::Counter::GemmFlops,
+                     2 * count * m * n * k);
+    runtime::WorkspaceArena &arena =
+        runtime::WorkspaceArena::forCurrentThread();
+    runtime::ArenaScope scope(arena);
     BatchedCtx ctx;
     ctx.kt = &simd::activeKernels();
-    ctx.block_fn = block_fn;
     ctx.a = a;
     ctx.a_stride = a_stride;
     ctx.a_ld = k;
@@ -552,97 +518,27 @@ gemmBatchedStreamB(simd::GemmBlockFn block_fn, const float *a,
     ctx.k = k;
     ctx.group = group;
     ctx.accumulate = accumulate;
-    if (k <= 0) {
-        if (!accumulate)
-            for (int64_t i = 0; i < count; ++i)
-                std::memset(c + i * c_stride, 0,
-                            sizeof(float) * static_cast<size_t>(m * n));
-        return;
-    }
-    ctx.packed = gemmBatchedPackEnabled(count, m, n, k);
-
-    telemetry::Scope span(telemetry::Timer::Gemm, "gemm_batched",
-                          "items", count, "m", m);
-    telemetry::count(telemetry::Counter::GemmCalls);
-    telemetry::count(ctx.packed ? telemetry::Counter::GemmPackedCalls
-                                : telemetry::Counter::GemmLegacyCalls);
-    telemetry::count(telemetry::Counter::GemmBatchedItems, count);
-    telemetry::count(telemetry::Counter::GemmFlops,
-                     2 * count * m * n * k);
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
-    runtime::ArenaScope scope(arena);
+    ctx.bp_stride = packStrips(n, kGemmPackNR) * kGemmPackNR * k;
+    ctx.bp = arena.getFloats(
+        static_cast<size_t>((count / group) * ctx.bp_stride));
     const BatchedCtx *pc = &ctx;
-    if (ctx.packed) {
-        const int64_t groups = count / group;
-        ctx.bp_stride = packStrips(n, kGemmPackNR) * kGemmPackNR * k;
-        ctx.bp =
-            arena.getFloats(static_cast<size_t>(groups * ctx.bp_stride));
-        runtime::parallelFor(0, groups, 1, [pc](int64_t g0, int64_t g1) {
+    runtime::parallelFor(
+        0, count / group, packGrain(ctx.bp_stride),
+        [pc](int64_t g0, int64_t g1) {
             for (int64_t g = g0; g < g1; ++g)
                 pc->kt->packB(pc->b + g * pc->b_stride, pc->b_ld,
-                              pc->b_k_major,
-                              pc->bp + g * pc->bp_stride, 0, pc->n,
-                              pc->n, pc->k, nullptr);
+                              pc->b_k_major, pc->bp + g * pc->bp_stride,
+                              0, pc->n, pc->n, pc->k, nullptr);
         });
-    }
     runtime::parallelFor(0, count, 1, [pc](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-            const float *ai = pc->a + i * pc->a_stride;
-            float *ci = pc->c + i * pc->c_stride;
-            if (pc->packed)
-                runItemPacked(pc, ai,
-                              pc->bp + (i / pc->group) * pc->bp_stride,
-                              ci, pc->accumulate);
-            else
-                runItemLegacy(pc, ai,
-                              pc->b + (i / pc->group) * pc->b_stride,
-                              ci, pc->accumulate);
-        }
+        for (int64_t i = i0; i < i1; ++i)
+            runItem(pc, pc->a + i * pc->a_stride,
+                    pc->bp + (i / pc->group) * pc->bp_stride,
+                    pc->c + i * pc->c_stride, pc->accumulate);
     });
 }
 
-/** One TN batch item through the packed pipeline into @p c (packs its
- *  own B — both TN operands change per item). */
-void
-runItemPackedTN(const BatchedCtx *ctx, const float *a, const float *b,
-                float *c, bool accumulate)
-{
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
-    runtime::ArenaScope scope(arena);
-    float *bp = arena.getFloats(static_cast<size_t>(
-        packStrips(ctx->n, kGemmPackNR) * kGemmPackNR * ctx->k));
-    ctx->kt->packB(b, ctx->b_ld, ctx->b_k_major, bp, 0, ctx->n, ctx->n,
-                   ctx->k, nullptr);
-    runItemPacked(ctx, a, bp, c, accumulate);
-}
-
 } // namespace
-
-// ------------------------------------------------------- path choice
-
-bool
-gemmPackEnabled(int64_t m, int64_t n, int64_t k)
-{
-    // Packing copies O(MK + NK) to save on the O(MNK) streaming; below
-    // this threshold the copy dominates and the legacy path wins.
-    return m >= 4 && n >= kGemmPackNR && k >= 32 &&
-           m * n * k >= (int64_t{1} << 18);
-}
-
-bool
-gemmBatchedPackEnabled(int64_t count, int64_t m, int64_t n, int64_t k)
-{
-    // The amortization unit is the WHOLE batch: the pack copies
-    // O(count*(mk + nk)) to save on O(count*mnk) streaming, so a batch
-    // of per-head attention GEMMs — each too small to pack alone —
-    // clears the same work threshold the single-GEMM heuristic uses.
-    // The per-item floors only keep degenerate panels (k or n of 1-4)
-    // off the packed kernels, where strip padding would dominate.
-    return m >= 4 && n >= 8 && k >= 8 &&
-           count * m * n * k >= (int64_t{1} << 18);
-}
 
 // ------------------------------------------------------- entry points
 
@@ -650,38 +546,47 @@ void
 gemmNT(const float *a, const float *b, float *c, int64_t m, int64_t n,
        int64_t k, bool accumulate)
 {
-    if (gemmPackEnabled(m, n, k)) {
-        gemmPackedNT(a, m, k, nullptr, b, n, nullptr, nullptr, c,
-                     accumulate);
-        return;
-    }
-    gemmBlockedLegacy(simd::activeKernels().gemmNtBlock, a, b, c, m, n,
-                      k, accumulate);
+    gemmPackedNT(a, m, k, nullptr, b, n, nullptr, nullptr, c, accumulate);
 }
 
 void
 gemmNN(const float *a, const float *b, float *c, int64_t m, int64_t n,
        int64_t k, bool accumulate)
 {
-    if (gemmPackEnabled(m, n, k)) {
-        gemmPackedNN(a, m, k, nullptr, b, n, nullptr, nullptr, c,
-                     accumulate);
-        return;
-    }
-    gemmBlockedLegacy(simd::activeKernels().gemmNnBlock, a, b, c, m, n,
-                      k, accumulate);
+    gemmPackedNN(a, m, k, nullptr, b, n, nullptr, nullptr, c, accumulate);
 }
 
 void
 gemmTN(const float *a, const float *b, float *c, int64_t m, int64_t n,
        int64_t k, bool accumulate)
 {
-    if (gemmPackEnabled(m, n, k)) {
-        gemmPackedTN(a, m, k, nullptr, b, n, nullptr, c, accumulate);
+    gemmPackedTN(a, m, k, nullptr, b, n, nullptr, c, accumulate);
+}
+
+void
+gemmPrepackedB(const float *a, int64_t m, int64_t k, const float *bp,
+               int64_t n, float *c)
+{
+    if (m <= 0 || n <= 0)
         return;
-    }
-    gemmBlockedLegacy(simd::activeKernels().gemmTnBlock, a, b, c, m, n,
-                      k, accumulate);
+    telemetry::Scope span(telemetry::Timer::Gemm, "gemm", "m", m, "n", n);
+    telemetry::count(telemetry::Counter::GemmCalls);
+    telemetry::count(telemetry::Counter::GemmFlops, 2 * m * n * k);
+    PackedCtx ctx;
+    ctx.kt = &simd::activeKernels();
+    ctx.a = a;
+    ctx.a_ld = k;
+    ctx.a_k_major = false;
+    ctx.b = nullptr;
+    ctx.b_ld = 0;
+    ctx.b_k_major = false;
+    ctx.c = c;
+    ctx.m = m;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.accumulate = false;
+    ctx.bp = bp;
+    gemmPhase(&ctx);
 }
 
 void
@@ -690,9 +595,9 @@ gemmBatchedNT(const float *a, int64_t a_stride, const float *b,
               int64_t m, int64_t n, int64_t k, int64_t group,
               bool accumulate)
 {
-    gemmBatchedStreamB(simd::activeKernels().gemmNtBlock, a, a_stride, b,
-                       b_stride, /*b_ld=*/k, /*b_k_major=*/false, c,
-                       c_stride, count, m, n, k, group, accumulate);
+    gemmBatchedStreamB(a, a_stride, b, b_stride, /*b_ld=*/k,
+                       /*b_k_major=*/false, c, c_stride, count, m, n, k,
+                       group, accumulate);
 }
 
 void
@@ -701,9 +606,9 @@ gemmBatchedNN(const float *a, int64_t a_stride, const float *b,
               int64_t m, int64_t n, int64_t k, int64_t group,
               bool accumulate)
 {
-    gemmBatchedStreamB(simd::activeKernels().gemmNnBlock, a, a_stride, b,
-                       b_stride, /*b_ld=*/n, /*b_k_major=*/true, c,
-                       c_stride, count, m, n, k, group, accumulate);
+    gemmBatchedStreamB(a, a_stride, b, b_stride, /*b_ld=*/n,
+                       /*b_k_major=*/true, c, c_stride, count, m, n, k,
+                       group, accumulate);
 }
 
 void
@@ -716,9 +621,22 @@ gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
         return;
     SNIP_ASSERT(group >= 1 && count % group == 0,
                 "batched GEMM: count must be a multiple of group");
+    const int64_t groups = count / group;
+    if (k <= 0) {
+        if (!accumulate)
+            for (int64_t g = 0; g < groups; ++g)
+                std::memset(c + g * c_stride, 0,
+                            sizeof(float) * static_cast<size_t>(m * n));
+        return;
+    }
+    telemetry::Scope span(telemetry::Timer::Gemm, "gemm_batched_grouped",
+                          "items", count, "m", m);
+    telemetry::count(telemetry::Counter::GemmCalls);
+    telemetry::count(telemetry::Counter::GemmBatchedItems, count);
+    telemetry::count(telemetry::Counter::GemmFlops,
+                     2 * count * m * n * k);
     BatchedCtx ctx;
     ctx.kt = &simd::activeKernels();
-    ctx.block_fn = ctx.kt->gemmTnBlock;
     ctx.a = a;
     ctx.a_stride = a_stride;
     ctx.a_ld = m;
@@ -735,52 +653,33 @@ gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
     ctx.k = k;
     ctx.group = group;
     ctx.accumulate = accumulate;
-    const int64_t groups = count / group;
-    if (k <= 0) {
-        if (!accumulate)
-            for (int64_t g = 0; g < groups; ++g)
-                std::memset(c + g * c_stride, 0,
-                            sizeof(float) * static_cast<size_t>(m * n));
-        return;
-    }
-    ctx.packed = gemmBatchedPackEnabled(count, m, n, k);
-    telemetry::Scope span(telemetry::Timer::Gemm, "gemm_batched_grouped",
-                          "items", count, "m", m);
-    telemetry::count(telemetry::Counter::GemmCalls);
-    telemetry::count(ctx.packed ? telemetry::Counter::GemmPackedCalls
-                                : telemetry::Counter::GemmLegacyCalls);
-    telemetry::count(telemetry::Counter::GemmBatchedItems, count);
-    telemetry::count(telemetry::Counter::GemmFlops,
-                     2 * count * m * n * k);
     const BatchedCtx *pc = &ctx;
     // Workers own whole GROUPS: the items of a group reduce into the
     // group's shared C sequentially (each item's product is fully
     // formed in scratch, then added — the fixed per-kv-head order a
     // serial compute-then-scatter-add loop uses), so the reduction is
-    // bit-identical for any thread count.
+    // bit-identical for any thread count. Both TN operands change per
+    // item, so each item packs its own B.
     runtime::parallelFor(0, groups, 1, [pc](int64_t g0, int64_t g1) {
         runtime::WorkspaceArena &arena =
             runtime::WorkspaceArena::forCurrentThread();
+        const int64_t numel = pc->m * pc->n;
         for (int64_t g = g0; g < g1; ++g) {
             float *cg = pc->c + g * pc->c_stride;
             if (!pc->accumulate)
                 std::memset(cg, 0,
-                            sizeof(float) *
-                                static_cast<size_t>(pc->m * pc->n));
+                            sizeof(float) * static_cast<size_t>(numel));
             runtime::ArenaScope scope(arena);
-            float *tmp = arena.getFloats(
-                static_cast<size_t>(pc->m * pc->n));
+            float *tmp = arena.getFloats(static_cast<size_t>(numel));
+            float *bp = arena.getFloats(static_cast<size_t>(
+                packStrips(pc->n, kGemmPackNR) * kGemmPackNR * pc->k));
             for (int64_t t = 0; t < pc->group; ++t) {
                 const int64_t i = g * pc->group + t;
-                const float *ai = pc->a + i * pc->a_stride;
-                const float *bi = pc->b + i * pc->b_stride;
-                if (pc->packed)
-                    runItemPackedTN(pc, ai, bi, tmp,
-                                    /*accumulate=*/false);
-                else
-                    runItemLegacy(pc, ai, bi, tmp,
-                                  /*accumulate=*/false);
-                const int64_t numel = pc->m * pc->n;
+                pc->kt->packB(pc->b + i * pc->b_stride, pc->b_ld,
+                              pc->b_k_major, bp, 0, pc->n, pc->n, pc->k,
+                              nullptr);
+                runItem(pc, pc->a + i * pc->a_stride, bp, tmp,
+                        /*accumulate=*/false);
                 for (int64_t e = 0; e < numel; ++e)
                     cg[e] += tmp[e];
             }

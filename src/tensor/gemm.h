@@ -1,41 +1,32 @@
 /**
  * @file
- * Single-precision GEMM: packed cache-blocked pipeline + legacy path.
+ * Single-precision GEMM: one packed, cache-blocked driver.
  *
  * Three transpose variants cover the needs of linear-layer training:
  *   - NT: C[M,N] = A[M,K] * B[N,K]^T   (forward:  Y  = X  W^T)
  *   - NN: C[M,N] = A[M,K] * B[K,N]     (backward: dX = dY W)
  *   - TN: C[M,N] = A[K,M]^T * B[K,N]   (backward: dW = dY^T X)
  *
- * Large shapes run the PACKED pipeline: operand panels are copied once
- * into contiguous, strip-major buffers (simd/kernels.h PackAFn/PackBFn,
- * kGemmPackMR x kGemmPackNR register tiles) staged in per-thread
- * workspace arenas (runtime/workspace_arena.h), and the block
+ * Every product runs the same pipeline: the B operand is copied once
+ * into a contiguous, strip-major panel (simd/kernels.h PackBFn,
+ * kGemmPackNR-column strips), each kGemmBlockM-row block of A is packed
+ * into kGemmPackMR-row strips in a per-thread workspace arena
+ * (runtime/workspace_arena.h), and the register-tiled strip
  * microkernel streams them with zero steady-state heap allocations.
- * The quantizing entry points additionally FUSE the nearest-rounding
- * grid-snap quantizer into the pack, so no quantized tensor copy is
+ * The shape picks tile counts, never a code path; the one shortcut is
+ * that an M-block shorter than one strip with nothing to quantize
+ * (decode rows) is read in place instead of packed — same kernel, same
+ * arithmetic. The quantizing entry points FUSE the nearest-rounding
+ * grid-snap quantizer into the packs, so no quantized tensor copy is
  * ever materialized, and an optional PackedWeightCache keeps a
- * weight's packed+quantized panel alive across the GEMMs of one
- * training step. Small shapes run the unpacked kernels.
+ * weight's packed+quantized panel alive until the weight changes.
  *
- * The path is a pure function of the shape (gemmPackEnabled(),
- * gemmBatchedPackEnabled()); there is no user knob. Each path wins
- * one workload: packing pays off once the O(MNK) streaming outgrows
- * the O(MK + NK) copy, while small decode shapes are memory-bound and
- * run faster unpacked (measured end to end on the serve_fp32kv
- * benchmark workload; see the note on the unpacked driver in
- * gemm.cpp). The gemmPacked* entry points always pack, whatever the
- * shape — tests use them to reach the packed kernels on small shapes.
- *
- * Determinism contract: all paths fan kGemmBlockM-row M-blocks of C
- * out over the thread pool; workers own whole rows of C and every
- * per-element accumulation order is a pure function of the shape, so
- * within one backend results are bit-identical for any thread count.
- * The packed and unpacked paths may differ from each other in
- * low-order bits (the packed microkernel accumulates each C element
- * k-ascending in one lane; the unpacked NT kernel stripes across 8
- * lanes and reduces), so two computations agree bit for bit when
- * their shapes select the same path.
+ * Determinism contract: M-blocks of C fan out over the thread pool;
+ * workers own whole rows of C and every C element sums its k products
+ * in ascending k (simd/kernels.h GemmStripFn), so within one backend
+ * results are bit-identical for any thread count, and a row of C is
+ * bit-identical whichever other rows share its call — a decode row
+ * equals the same row of a full-sequence product.
  */
 #ifndef SNIP_TENSOR_GEMM_H
 #define SNIP_TENSOR_GEMM_H
@@ -60,21 +51,23 @@ void gemmNN(const float *a, const float *b, float *c, int64_t m, int64_t n,
 void gemmTN(const float *a, const float *b, float *c, int64_t m, int64_t n,
             int64_t k, bool accumulate = false);
 
+/**
+ * C[M,N] = A[M,K] * B, where @p bp already holds B[K,N] as a packed
+ * panel (simd::packedBOffset layout, depth K) — for callers that
+ * build the panel straight from their own storage (the paged KV
+ * cache) instead of packing a gathered copy.
+ */
+void gemmPrepackedB(const float *a, int64_t m, int64_t k, const float *bp,
+                    int64_t n, float *c);
+
 // ------------------------------------------------ strided-batch GEMM
 //
 // count independent GEMMs of one shape in a single call: item i reads
 // A_i = a + i*a_stride and writes C through the variant-specific
 // grouping below. The batched driver fans ITEMS (not M-blocks) over
-// the thread pool — each worker owns whole items, so per-item
-// accumulation order is identical to running the per-item entry
-// points one by one, for any thread count. Whether the batch takes
-// the packed pipeline is decided from the aggregate work
-// count*m*n*k (gemmBatchedPackEnabled below), NOT the per-item
-// shape: attention-style batches of small GEMMs amortize the pack
-// cost across the batch. A batch that does not pack runs every item
-// through the unpacked kernels, bit-identical to a loop of
-// gemmNT/NN/TN calls; one that packs is bit-identical to a loop of
-// gemmPacked* calls.
+// the thread pool — each worker owns whole items, so every item is
+// bit-identical to running the per-item entry points one by one, for
+// any thread count.
 
 /**
  * C_i[M,N] (+)= A_i[M,K] * B_{i/group}[N,K]^T for i in [0, count).
@@ -108,12 +101,6 @@ void gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
                    int64_t count, int64_t m, int64_t n, int64_t k,
                    int64_t group = 1, bool accumulate = false);
 
-/** True when a batch of this aggregate shape takes the packed
- *  pipeline: once count*m*n*k — the amortization unit — outgrows the
- *  pack cost. */
-bool gemmBatchedPackEnabled(int64_t count, int64_t m, int64_t n,
-                            int64_t k);
-
 /** Y = X * W^T for rank-2 tensors X[M,K], W[N,K]. */
 Tensor matmulNT(const Tensor &x, const Tensor &w);
 
@@ -123,23 +110,17 @@ Tensor matmulNN(const Tensor &a, const Tensor &b);
 /** Y = A^T * B for rank-2 tensors A[K,M], B[K,N]. */
 Tensor matmulTN(const Tensor &a, const Tensor &b);
 
-// ------------------------------------------------------- path choice
-
-/** True when a GEMM of this shape takes the packed pipeline: m >= 4,
- *  n >= kGemmPackNR, k >= 32 and m*n*k >= 2^18 (the work outgrows the
- *  pack cost). m <= 3 or k < 32 always selects the unpacked kernels. */
-bool gemmPackEnabled(int64_t m, int64_t n, int64_t k);
-
 // ----------------------------------------------- packed-weight cache
 
 /**
  * Per-layer cache of packed (+ fused-quantized) weight panels, one
- * slot per GEMM orientation (Fwd consumes W as the NT B operand, Dgrad
- * as the NN B operand). A hit skips the whole scale-compute + pack
- * phase, so within one training step the weight is packed+quantized
- * once per orientation no matter how many forwards run (stats passes,
- * probes, pipeline microbatches), and the region-scale pass is shared
- * between the orientations when their policies agree.
+ * slot per GEMM orientation (Fwd and inference consume W as the NT B
+ * operand, Dgrad as the NN B operand). A hit skips the whole
+ * scale-compute + pack phase, so within one training step the weight
+ * is packed+quantized once per orientation no matter how many forwards
+ * run (stats passes, probes, pipeline microbatches), a serving model
+ * packs each weight once, and the region-scale pass is shared between
+ * the orientations when their policies agree.
  *
  * Invalidation: invalidateWeightPacks() (bumped by the optimizer step
  * and checkpoint restore) stales every cache in the process;
@@ -187,11 +168,6 @@ class PackedWeightCache
  *  (optimizer step, checkpoint restore) must call this. */
 void invalidateWeightPacks();
 
-/** Current weight-pack epoch: 0 until the first invalidateWeightPacks()
- *  call, then bumped by every one. Caches derived from weights (packed
- *  panels, quantized inference copies) key on this to notice mutation. */
-uint64_t weightPackEpoch();
-
 // ------------------------------------- quantizing packed entry points
 //
 // The packed pipeline with fused quantize-on-pack. aq/bq describe the
@@ -199,9 +175,8 @@ uint64_t weightPackEpoch();
 // operand as-is; stochastic-rounding operands must be materialized by
 // the caller first — their RNG stream is order-sensitive). Results are
 // bit-identical to quantizing a copy with FakeQuantizer and running
-// the packed GEMM on it. These entries always pack, whatever the shape
-// (callers gate on gemmPackEnabled()); after warm-up they perform zero
-// heap allocations (tests/test_workspace.cpp counts).
+// the plain GEMM on it. After warm-up they perform zero heap
+// allocations (tests/test_workspace.cpp counts).
 
 /** C[M,N] (+)= q(A[M,K]) * q(B[N,K])^T; @p bcache may cache packed B. */
 void gemmPackedNT(const float *a, int64_t m, int64_t k,
@@ -222,17 +197,17 @@ void gemmPackedTN(const float *a, int64_t m, int64_t k,
                   const QuantConfig *bq, float *c,
                   bool accumulate = false);
 
-/** Y = q(X) * q(W)^T (packed, fused quantization). */
+/** Y = q(X) * q(W)^T (fused quantization). */
 Tensor quantMatmulNT(const Tensor &x, const QuantConfig *xq,
                      const Tensor &w, const QuantConfig *wq,
                      PackedWeightCache *wcache);
 
-/** Y = q(dY) * q(W) (packed, fused quantization). */
+/** Y = q(dY) * q(W) (fused quantization). */
 Tensor quantMatmulNN(const Tensor &dy, const QuantConfig *dq,
                      const Tensor &w, const QuantConfig *wq,
                      PackedWeightCache *wcache);
 
-/** dW (+)= q(dY)^T * q(X) (packed, fused quantization). */
+/** dW (+)= q(dY)^T * q(X) (fused quantization). */
 void quantGemmTN(const Tensor &dy, const QuantConfig *dq,
                  const Tensor &x, const QuantConfig *xq, Tensor &dw,
                  bool accumulate);

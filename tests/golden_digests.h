@@ -20,27 +20,27 @@ struct GoldenDigest
 };
 
 inline constexpr GoldenDigest kGoldenDigests[] = {
-    {"fig8_short.loss", "avx2", 0xfd192f0eu},
+    {"fig8_short.loss", "avx2", 0x46bbca9fu},
     {"fig8_short.loss", "scalar", 0xcb674478u},
-    {"fig8_short.params", "avx2", 0xde2e4589u},
+    {"fig8_short.params", "avx2", 0x9c1d86e0u},
     {"fig8_short.params", "scalar", 0xd4f2af11u},
     {"quant_regions", "avx2", 0x5ccae5e5u},
     {"quant_regions", "scalar", 0x5ccae5e5u},
-    {"quickstart.loss", "avx2", 0x494259ffu},
+    {"quickstart.loss", "avx2", 0x5844418fu},
     {"quickstart.loss", "scalar", 0x486e198au},
-    {"quickstart.params", "avx2", 0x2c628eb2u},
+    {"quickstart.params", "avx2", 0xda4dcb25u},
     {"quickstart.params", "scalar", 0x067f6799u},
-    {"serve_fp32kv.logits", "avx2", 0x51fc2ed1u},
+    {"serve_fp32kv.logits", "avx2", 0xac9be365u},
     {"serve_fp32kv.logits", "scalar", 0x1321488bu},
     {"serve_fp32kv.tokens", "avx2", 0x8fc5c398u},
     {"serve_fp32kv.tokens", "scalar", 0x8fc5c398u},
-    {"serve_fp8kv.logits", "avx2", 0x2a2bcab2u},
+    {"serve_fp8kv.logits", "avx2", 0x319039ceu},
     {"serve_fp8kv.logits", "scalar", 0x739b9585u},
     {"serve_fp8kv.tokens", "avx2", 0x8fc5c398u},
     {"serve_fp8kv.tokens", "scalar", 0x8fc5c398u},
-    {"train_tiny.loss", "avx2", 0x1f2ef663u},
+    {"train_tiny.loss", "avx2", 0xd4a56368u},
     {"train_tiny.loss", "scalar", 0x27d2f9ceu},
-    {"train_tiny.params", "avx2", 0xf16bbffcu},
+    {"train_tiny.params", "avx2", 0x9a6b6ea0u},
     {"train_tiny.params", "scalar", 0xa7070943u},
     {"train_wide.loss", "avx2", 0x96a86a4au},
     {"train_wide.loss", "scalar", 0x3691db57u},

@@ -247,10 +247,8 @@ TEST(Model, ParameterCountMatchesConfigFormula)
 //
 // The per-(b,h) loop the batched attention core replaced, kept here as
 // its reference: per-head gathers, per-head GEMMs, the shared fused
-// softmax kernels. Each GEMM takes the path the batched call takes for
-// the whole batch — the packed entries when gemmBatchedPackEnabled()
-// says the batch packs, the ordinary entries otherwise — so the core
-// must match it bit for bit on both item paths.
+// softmax kernels. Every GEMM runs one driver, so the core must match
+// it bit for bit.
 
 /** Copy the [seq, width] slice of head h of batch row b out. */
 void
@@ -278,40 +276,6 @@ scatterHead(float *dst, const float *src, int64_t b, int64_t h,
     }
 }
 
-/** One item GEMM of a @p count-item batch, on the batch's path. */
-struct ItemGemm
-{
-    int64_t count;
-
-    void
-    nt(const float *a, const float *b, float *c, int64_t m, int64_t n,
-       int64_t k) const
-    {
-        if (gemmBatchedPackEnabled(count, m, n, k))
-            gemmPackedNT(a, m, k, nullptr, b, n, nullptr, nullptr, c);
-        else
-            gemmNT(a, b, c, m, n, k);
-    }
-    void
-    nn(const float *a, const float *b, float *c, int64_t m, int64_t n,
-       int64_t k) const
-    {
-        if (gemmBatchedPackEnabled(count, m, n, k))
-            gemmPackedNN(a, m, k, nullptr, b, n, nullptr, nullptr, c);
-        else
-            gemmNN(a, b, c, m, n, k);
-    }
-    void
-    tn(const float *a, const float *b, float *c, int64_t m, int64_t n,
-       int64_t k) const
-    {
-        if (gemmBatchedPackEnabled(count, m, n, k))
-            gemmPackedTN(a, m, k, nullptr, b, n, nullptr, c);
-        else
-            gemmTN(a, b, c, m, n, k);
-    }
-};
-
 void
 forwardReference(const AttnShape &s, const float *q, const float *k,
                  const float *v, float *probs, float *ctx)
@@ -320,7 +284,6 @@ forwardReference(const AttnShape &s, const float *q, const float *k,
     const int64_t group = s.n_heads / s.n_kv_heads;
     const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
     const simd::KernelTable &kt = simd::activeKernels();
-    const ItemGemm g{s.batch * s.n_heads};
     std::vector<float> qb(seq * hd), kb(seq * hd), vb(seq * hd),
         cb(seq * hd);
     for (int64_t b = 0; b < s.batch; ++b) {
@@ -329,9 +292,9 @@ forwardReference(const AttnShape &s, const float *q, const float *k,
             gatherHead(k, kb.data(), b, h / group, seq, s.n_kv_heads, hd);
             gatherHead(v, vb.data(), b, h / group, seq, s.n_kv_heads, hd);
             float *prob = probs + (b * s.n_heads + h) * seq * seq;
-            g.nt(qb.data(), kb.data(), prob, seq, seq, hd);
+            gemmNT(qb.data(), kb.data(), prob, seq, seq, hd);
             kt.attnSoftmaxFwd(prob, seq, scale);
-            g.nn(prob, vb.data(), cb.data(), seq, hd, seq);
+            gemmNN(prob, vb.data(), cb.data(), seq, hd, seq);
             scatterHead(ctx, cb.data(), b, h, seq, s.n_heads, hd,
                         /*add=*/false);
         }
@@ -347,7 +310,6 @@ backwardReference(const AttnShape &s, const float *q, const float *k,
     const int64_t group = s.n_heads / s.n_kv_heads;
     const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
     const simd::KernelTable &kt = simd::activeKernels();
-    const ItemGemm g{s.batch * s.n_heads};
     std::vector<float> qb(seq * hd), kb(seq * hd), vb(seq * hd),
         dcb(seq * hd), dqb(seq * hd), dkb(seq * hd), dvb(seq * hd),
         dp(seq * seq), ds(seq * seq);
@@ -360,12 +322,12 @@ backwardReference(const AttnShape &s, const float *q, const float *k,
             gatherHead(dctx, dcb.data(), b, h, seq, s.n_heads, hd);
             const float *prob = probs + (b * s.n_heads + h) * seq * seq;
             // dV = P^T dCtx ; dP = dCtx V^T.
-            g.tn(prob, dcb.data(), dvb.data(), seq, hd, seq);
-            g.nt(dcb.data(), vb.data(), dp.data(), seq, seq, hd);
+            gemmTN(prob, dcb.data(), dvb.data(), seq, hd, seq);
+            gemmNT(dcb.data(), vb.data(), dp.data(), seq, seq, hd);
             kt.attnSoftmaxBwd(prob, dp.data(), ds.data(), seq, scale);
             // dQ = dS K ; dK = dS^T Q.
-            g.nn(ds.data(), kb.data(), dqb.data(), seq, hd, seq);
-            g.tn(ds.data(), qb.data(), dkb.data(), seq, hd, seq);
+            gemmNN(ds.data(), kb.data(), dqb.data(), seq, hd, seq);
+            gemmTN(ds.data(), qb.data(), dkb.data(), seq, hd, seq);
             scatterHead(dq, dqb.data(), b, h, seq, s.n_heads, hd, true);
             scatterHead(dk, dkb.data(), b, kvh, seq, s.n_kv_heads, hd,
                         true);
@@ -375,20 +337,15 @@ backwardReference(const AttnShape &s, const float *q, const float *k,
     }
 }
 
-TEST(AttentionCore, BitIdenticalToReferenceOnBothItemPaths)
+TEST(AttentionCore, BitIdenticalToPerHeadReference)
 {
     // GQA shapes (shared K/V groups, per-kv-head dK/dV reduction): a
-    // batch too small to pack, and one that packs although each item
-    // alone would not (gemmPackEnabled rejects k < 32).
+    // small batch with ragged strips and a training-sized one.
     GlobalPoolGuard pool_guard;
     for (const AttnShape s : {AttnShape{2, 8, 4, 2, 4},
                               AttnShape{2, 32, 8, 2, 16}}) {
         const int64_t count = s.batch * s.n_heads;
-        const bool packs = gemmBatchedPackEnabled(count, s.seq, s.seq,
-                                                  s.head_dim);
-        SCOPED_TRACE(packs ? "packed items" : "unpacked items");
-        EXPECT_EQ(packs, s.seq == 32);
-        EXPECT_FALSE(gemmPackEnabled(s.seq, s.seq, s.head_dim));
+        SCOPED_TRACE(s.seq);
 
         const int64_t rows = s.batch * s.seq;
         Rng rng(51);

@@ -74,7 +74,17 @@ TEST(EnvConfig, ThreadsParsesHistoricalContract)
     guard.set("-4");
     EXPECT_GE(runtime::envConfig().threads(), 1);
     guard.unset();
-    EXPECT_GE(runtime::envConfig().threads(), 1);
+    const int fallback = runtime::envConfig().threads();
+    EXPECT_GE(fallback, 1);
+    // A number with trailing text is invalid too, not its leading
+    // digits: each falls back like "not-a-number". The digit differs
+    // from the fallback so a parsed prefix cannot pass by accident.
+    const std::string d = fallback == 5 ? "6" : "5";
+    for (const std::string &bad : {d + "x", d + ".5", d + "e3", d + " "}) {
+        SCOPED_TRACE(bad);
+        guard.set(bad.c_str());
+        EXPECT_EQ(runtime::envConfig().threads(), fallback);
+    }
 }
 
 TEST(EnvConfig, KvPageParsesAndClamps)

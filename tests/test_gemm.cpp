@@ -1,7 +1,8 @@
 /**
  * @file
- * GEMM kernels against a naive reference, including non-square and
- * non-block-multiple shapes.
+ * The GEMM driver against a naive reference, including non-square and
+ * non-block-multiple shapes, plus its determinism contracts: bit
+ * identity across thread counts and row independence.
  */
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "simd/dispatch.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
@@ -152,48 +154,26 @@ TEST(Gemm, ZeroSizedInnerDim)
 
 // ------------------------------------------------------- packed path
 
-TEST(GemmPack, PathIsAPureFunctionOfShape)
+Tensor
+refNN(const Tensor &a, const Tensor &b)
 {
-    EXPECT_FALSE(gemmPackEnabled(8, 8, 8)); // below the pack threshold
-    EXPECT_TRUE(gemmPackEnabled(512, 512, 512));
-    EXPECT_TRUE(gemmPackEnabled(64, 64, 64)); // exactly 2^18
-    EXPECT_FALSE(gemmPackEnabled(64, 64, 63));
-    // Decode rows (m <= 3) and thin inner dims (k < 32) never pack.
-    EXPECT_FALSE(gemmPackEnabled(3, 4096, 4096));
-    EXPECT_FALSE(gemmPackEnabled(4096, 4096, 31));
-    EXPECT_FALSE(gemmPackEnabled(4096, 15, 4096));
+    return refNT(a, transpose(b));
+}
+
+Tensor
+refTN(const Tensor &a, const Tensor &b)
+{
+    return refNT(transpose(a), transpose(b));
 }
 
 /** Ragged shapes straddling every block/strip edge (64-row M-blocks,
- *  6-row A strips, 16-column B strips); the first two and the last two
- *  pack under the shape heuristic, (6,16,32) and (13,17,40) do not. */
+ *  6-row A strips, 16-column B strips). */
 class GemmPackShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>>
 {
 };
 
-/** The three packed entries (always packing) on one shape's operands. */
-struct PackedTriple
-{
-    Tensor nt, nn, tn;
-};
-
-PackedTriple
-packedAll(const Tensor &a_nt, const Tensor &b_nt, const Tensor &a_nn,
-          const Tensor &b_nn, const Tensor &a_tn, const Tensor &b_tn)
-{
-    const int64_t m = a_nt.size(0), n = b_nt.size(0), k = a_nt.size(1);
-    PackedTriple r{Tensor(m, n), Tensor(m, n), Tensor(m, n)};
-    gemmPackedNT(a_nt.data(), m, k, nullptr, b_nt.data(), n, nullptr,
-                 nullptr, r.nt.data());
-    gemmPackedNN(a_nn.data(), m, k, nullptr, b_nn.data(), n, nullptr,
-                 nullptr, r.nn.data());
-    gemmPackedTN(a_tn.data(), m, k, nullptr, b_tn.data(), n, nullptr,
-                 r.tn.data());
-    return r;
-}
-
-TEST_P(GemmPackShapes, PackedMatchesShapeSelectedAndReference)
+TEST_P(GemmPackShapes, EveryVariantMatchesReference)
 {
     auto [m, n, k] = GetParam();
     Rng rng(7);
@@ -204,32 +184,19 @@ TEST_P(GemmPackShapes, PackedMatchesShapeSelectedAndReference)
     Tensor a_tn = Tensor::randn({k, m}, rng);
     Tensor b_tn = Tensor::randn({k, n}, rng);
 
-    // Pin which path each listed shape takes, so both stay covered.
-    EXPECT_EQ(gemmPackEnabled(m, n, k), m != 6 && m != 13);
-    const PackedTriple p =
-        packedAll(a_nt, b_nt, a_nn, b_nn, a_tn, b_tn);
-    const Tensor nt_s = matmulNT(a_nt, b_nt);
-    const Tensor nn_s = matmulNN(a_nn, b_nn);
-    const Tensor tn_s = matmulTN(a_tn, b_tn);
-    if (gemmPackEnabled(m, n, k)) {
-        // The shape selects the packed path: the very same kernels.
-        EXPECT_TRUE(p.nt == nt_s);
-        EXPECT_TRUE(p.nn == nn_s);
-        EXPECT_TRUE(p.tn == tn_s);
-    } else {
-        // Packed and unpacked may differ in low-order bits only.
-        EXPECT_LT(diffNorm(p.nt, nt_s), 1e-5 * (1.0 + frobeniusNorm(nt_s)));
-        EXPECT_LT(diffNorm(p.nn, nn_s), 1e-5 * (1.0 + frobeniusNorm(nn_s)));
-        EXPECT_LT(diffNorm(p.tn, tn_s), 1e-5 * (1.0 + frobeniusNorm(tn_s)));
-    }
-    const Tensor r = refNT(a_nt, b_nt);
-    EXPECT_LT(diffNorm(p.nt, r), 1e-5 * (1.0 + frobeniusNorm(r)));
+    const Tensor r_nt = refNT(a_nt, b_nt);
+    const Tensor r_nn = refNN(a_nn, b_nn);
+    const Tensor r_tn = refTN(a_tn, b_tn);
+    EXPECT_LT(diffNorm(matmulNT(a_nt, b_nt), r_nt),
+              1e-5 * (1.0 + frobeniusNorm(r_nt)));
+    EXPECT_LT(diffNorm(matmulNN(a_nn, b_nn), r_nn),
+              1e-5 * (1.0 + frobeniusNorm(r_nn)));
+    EXPECT_LT(diffNorm(matmulTN(a_tn, b_tn), r_tn),
+              1e-5 * (1.0 + frobeniusNorm(r_tn)));
 }
 
-TEST_P(GemmPackShapes, BothPathsBitIdenticalAcrossThreadCounts)
+TEST_P(GemmPackShapes, BitIdenticalAcrossThreadCounts)
 {
-    // The packed entries always pack; the matmul entries take the
-    // shape-selected path (unpacked for the two small shapes).
     GlobalPoolGuard pool_guard;
     auto [m, n, k] = GetParam();
     Rng rng(8);
@@ -241,19 +208,12 @@ TEST_P(GemmPackShapes, BothPathsBitIdenticalAcrossThreadCounts)
     Tensor b_tn = Tensor::randn({k, n}, rng);
 
     runtime::setGlobalThreadCount(1);
-    const PackedTriple p1 =
-        packedAll(a_nt, b_nt, a_nn, b_nn, a_tn, b_tn);
     const Tensor nt1 = matmulNT(a_nt, b_nt);
     const Tensor nn1 = matmulNN(a_nn, b_nn);
     const Tensor tn1 = matmulTN(a_tn, b_tn);
     for (int threads : {2, 8}) {
         SCOPED_TRACE(threads);
         runtime::setGlobalThreadCount(threads);
-        const PackedTriple p =
-            packedAll(a_nt, b_nt, a_nn, b_nn, a_tn, b_tn);
-        EXPECT_TRUE(p.nt == p1.nt);
-        EXPECT_TRUE(p.nn == p1.nn);
-        EXPECT_TRUE(p.tn == p1.tn);
         EXPECT_TRUE(matmulNT(a_nt, b_nt) == nt1);
         EXPECT_TRUE(matmulNN(a_nn, b_nn) == nn1);
         EXPECT_TRUE(matmulTN(a_tn, b_tn) == tn1);
@@ -268,6 +228,58 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(13, 17, 40),
                       std::make_tuple(64, 64, 64),
                       std::make_tuple(257, 191, 133)));
+
+TEST(GemmPack, RowSliceBitIdenticalToFullCall)
+{
+    // A decode row must equal the same row of a full-sequence product:
+    // any 1-5-row slice of A, multiplied alone (read in place, never
+    // packed), reproduces those rows of the full call (packed 6-row
+    // strips) bit for bit — for every variant, on both backends, at
+    // any thread count. Slices start inside a strip, at an M-block
+    // edge and across one.
+    GlobalPoolGuard pool_guard;
+    const int64_t m = 75, n = 37, k = 45;
+    Rng rng(12);
+    const Tensor a = Tensor::randn({m, k}, rng);   // NT/NN A
+    const Tensor at = Tensor::randn({k, m}, rng);  // TN A
+    const Tensor b_nt = Tensor::randn({n, k}, rng);
+    const Tensor b_nn = Tensor::randn({k, n}, rng);
+    for (const char *backend : {"scalar", "avx2"}) {
+        if (!simd::setBackendByName(backend))
+            continue; // no AVX2 on this host
+        for (int threads : {1, 2, 8}) {
+            SCOPED_TRACE(std::string(backend) + " " +
+                         std::to_string(threads) + " threads");
+            runtime::setGlobalThreadCount(threads);
+            const Tensor nt = matmulNT(a, b_nt);
+            const Tensor nn = matmulNN(a, b_nn);
+            const Tensor tn = matmulTN(at, b_nn);
+            for (int64_t h = 1; h < 6; ++h) {
+                for (int64_t r0 : {int64_t{0}, int64_t{3}, int64_t{62},
+                                   int64_t{64}, m - h}) {
+                    SCOPED_TRACE("rows " + std::to_string(r0) + "+" +
+                                 std::to_string(h));
+                    Tensor c(h, n), at_s(k, h);
+                    gemmNT(a.data() + r0 * k, b_nt.data(), c.data(), h, n,
+                           k);
+                    EXPECT_TRUE(std::equal(c.data(), c.data() + h * n,
+                                           nt.data() + r0 * n));
+                    gemmNN(a.data() + r0 * k, b_nn.data(), c.data(), h, n,
+                           k);
+                    EXPECT_TRUE(std::equal(c.data(), c.data() + h * n,
+                                           nn.data() + r0 * n));
+                    for (int64_t kk = 0; kk < k; ++kk)
+                        for (int64_t r = 0; r < h; ++r)
+                            at_s.at(kk, r) = at.at(kk, r0 + r);
+                    gemmTN(at_s.data(), b_nn.data(), c.data(), h, n, k);
+                    EXPECT_TRUE(std::equal(c.data(), c.data() + h * n,
+                                           tn.data() + r0 * n));
+                }
+            }
+        }
+    }
+    simd::setBackendByName("auto");
+}
 
 TEST(GemmPack, PackedAccumulateAddsToExisting)
 {
@@ -286,45 +298,29 @@ TEST(GemmPack, PackedAccumulateAddsToExisting)
 // ----------------------------------------------------- batched path
 
 /** Per-item reference for the batched entry points: the same GEMMs
- *  item by item, through the packed entries when the batch packs
- *  (gemmBatchedPackEnabled) and the ordinary entries otherwise (which
- *  then stay unpacked: a per-item shape that packs implies a batch
- *  that packs), with the TN group reduction done as
- *  compute-into-scratch-then-add — the fixed order the batched driver
- *  guarantees. */
+ *  item by item through the ordinary entries, with the TN group
+ *  reduction done as compute-into-scratch-then-add — the fixed order
+ *  the batched driver guarantees. */
 void
 refBatched(int variant, const float *a, int64_t a_stride, const float *b,
            int64_t b_stride, float *c, int64_t c_stride, int64_t count,
            int64_t m, int64_t n, int64_t k, int64_t group,
            bool accumulate)
 {
-    const bool packed = gemmBatchedPackEnabled(count, m, n, k);
     std::vector<float> tmp(static_cast<size_t>(m * n));
     for (int64_t i = 0; i < count; ++i) {
         const float *ai = a + i * a_stride;
         const float *bi = b + (variant == 2 ? i : i / group) * b_stride;
         float *ci = c + i * c_stride;
         if (variant == 0) {
-            if (packed)
-                gemmPackedNT(ai, m, k, nullptr, bi, n, nullptr, nullptr,
-                             ci, accumulate);
-            else
-                gemmNT(ai, bi, ci, m, n, k, accumulate);
+            gemmNT(ai, bi, ci, m, n, k, accumulate);
         } else if (variant == 1) {
-            if (packed)
-                gemmPackedNN(ai, m, k, nullptr, bi, n, nullptr, nullptr,
-                             ci, accumulate);
-            else
-                gemmNN(ai, bi, ci, m, n, k, accumulate);
+            gemmNN(ai, bi, ci, m, n, k, accumulate);
         } else {
             float *cg = c + (i / group) * c_stride;
             if (i % group == 0 && !accumulate)
                 std::fill_n(cg, m * n, 0.0f);
-            if (packed)
-                gemmPackedTN(ai, m, k, nullptr, bi, n, nullptr,
-                             tmp.data());
-            else
-                gemmTN(ai, bi, tmp.data(), m, n, k);
+            gemmTN(ai, bi, tmp.data(), m, n, k);
             for (int64_t e = 0; e < m * n; ++e)
                 cg[e] += tmp[e];
         }
@@ -332,8 +328,7 @@ refBatched(int variant, const float *a, int64_t a_stride, const float *b,
 }
 
 /** (count, m, n, k, group) cases: strip-ragged shapes, shared-B
- *  groups, and a GQA-like group reduction. The first three batches run
- *  unpacked, the last two pack. */
+ *  groups, and a GQA-like group reduction. */
 class GemmBatchedShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>>
 {
@@ -342,8 +337,7 @@ class GemmBatchedShapes
 TEST_P(GemmBatchedShapes, MatchesPerItemLoopBitExact)
 {
     // The batched driver runs the same per-item kernels as a loop of
-    // per-item calls on the batch's path, so results are bit-identical
-    // — packed and unpacked alike.
+    // per-item calls, so results are bit-identical.
     auto [count, m, n, k, group] = GetParam();
     Rng rng(77);
     const int64_t groups = count / group;
@@ -412,42 +406,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(12, 64, 64, 16, 4),
                       std::make_tuple(16, 23, 40, 65, 8)));
 
-TEST(GemmBatched, HeuristicUsesAggregateWork)
+TEST(GemmBatched, AccumulateAddsToExisting)
 {
-    // One 32x32x16 GEMM is far below the per-item pack threshold, but
-    // a 64-item batch of them clears the aggregate amortization unit.
-    EXPECT_FALSE(gemmPackEnabled(32, 32, 16));
-    EXPECT_TRUE(gemmBatchedPackEnabled(64, 32, 32, 16));
-    EXPECT_FALSE(gemmBatchedPackEnabled(4, 32, 32, 16));
-}
-
-TEST(GemmBatched, PackedBatchAgreesWithUnpackedLoopWithinTolerance)
-{
-    // When the aggregate heuristic flips a batch of small GEMMs onto
-    // the packed path, results may differ from the per-item loop (each
-    // item unpacked: k < 32) only in low-order bits — the documented
-    // packed-vs-unpacked contract.
-    const int64_t count = 64, m = 32, n = 32, k = 16;
-    Rng rng(79);
-    Tensor a = Tensor::randn({count * m, k}, rng);
-    Tensor b = Tensor::randn({count * n, k}, rng);
-    Tensor ref(count * m, n);
-    for (int64_t i = 0; i < count; ++i)
-        gemmNT(a.data() + i * m * k, b.data() + i * n * k,
-               ref.data() + i * m * n, m, n, k);
-    Tensor bat(count * m, n);
-    gemmBatchedNT(a.data(), m * k, b.data(), n * k, bat.data(), m * n,
-                  count, m, n, k);
-    EXPECT_LT(diffNorm(bat, ref), 1e-5 * (1.0 + frobeniusNorm(ref)));
-}
-
-TEST(GemmBatched, AccumulateAddsToExistingOnBothPaths)
-{
-    // (3, 7, 9, 11) runs unpacked, (64, 8, 16, 32) packs.
     for (const auto &[count, m, n, k] :
          {std::make_tuple(3, 7, 9, 11), std::make_tuple(64, 8, 16, 32)}) {
         SCOPED_TRACE(count);
-        EXPECT_EQ(gemmBatchedPackEnabled(count, m, n, k), count == 64);
         Rng rng(80);
         Tensor a = Tensor::randn({count * m, k}, rng);
         Tensor b = Tensor::randn({count * n, k}, rng);
@@ -470,9 +433,8 @@ TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
 {
     // Quantize-on-pack must equal quantize-a-copy-then-pack bit for
     // bit (same scales, same grid snap), for every nearest-rounding
-    // precision and in all three variants — on a shape the heuristic
-    // packs and on a decode-sized one it leaves unpacked (the quant*
-    // entries pack whatever the shape). Besides the role policies'
+    // precision and in all three variants — on a training-sized shape
+    // and on a decode-sized one. Besides the role policies'
     // 1x128 tiles and 128x128 blocks, every operand also runs under
     // each other granularity and under small blocks whose regions end
     // mid-strip and mid-vector, which pins the kernels' region lookup
@@ -485,7 +447,6 @@ TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
         {Granularity::Tilewise, 7}};
     for (const auto &[m, n, k] : {std::make_tuple(70, 50, 130),
                                   std::make_tuple(3, 20, 24)}) {
-        EXPECT_EQ(gemmPackEnabled(m, n, k), m == 70);
         for (Precision p : {Precision::FP8, Precision::FP6, Precision::FP4})
             for (size_t o = 0; o <= overrides.size(); ++o) {
                 QuantConfig act = rolePolicy(p, TensorRole::Activation);

@@ -11,8 +11,6 @@
 #include <functional>
 #include <string>
 
-#include "ilp/branch_and_bound.h"
-#include "ilp/lp_relaxation.h"
 #include "ilp/solve_cache.h"
 #include "ilp/solver.h"
 #include "util/rng.h"
@@ -69,80 +67,6 @@ randomInstance(Rng &rng, int items, int options, double target)
     return p;
 }
 
-TEST(Lp, IntegralWhenTargetIsZero)
-{
-    Rng rng(1);
-    IlpProblem p = randomInstance(rng, 6, 3, 0.5);
-    p.target = 0.0;
-    LpResult lp = solveLpRelaxation(p);
-    EXPECT_TRUE(lp.feasible);
-    EXPECT_EQ(lp.frac_item, -1);
-    // Bound equals the sum of per-item minima.
-    double expect = 0;
-    for (const auto &q : p.quality)
-        expect += *std::min_element(q.begin(), q.end());
-    EXPECT_NEAR(lp.bound, expect, 1e-12);
-}
-
-TEST(Lp, InfeasibleWhenTargetExceedsCapacity)
-{
-    Rng rng(2);
-    IlpProblem p = randomInstance(rng, 4, 3, 1.0);
-    p.target = p.maxAchievableEfficiency() + 1.0;
-    LpResult lp = solveLpRelaxation(p);
-    EXPECT_FALSE(lp.feasible);
-}
-
-TEST(Lp, BoundIsLowerBoundAndRoundingFeasible)
-{
-    Rng rng(3);
-    for (int trial = 0; trial < 30; ++trial) {
-        IlpProblem p = randomInstance(rng, 5, 3, 1.0);
-        double opt = bruteForce(p);
-        LpResult lp = solveLpRelaxation(p);
-        if (!std::isfinite(opt)) {
-            EXPECT_FALSE(lp.rounded_feasible);
-            continue;
-        }
-        ASSERT_TRUE(lp.feasible);
-        EXPECT_LE(lp.bound, opt + 1e-9);
-        ASSERT_TRUE(lp.rounded_feasible);
-        double robj, reff;
-        EXPECT_TRUE(verifySolution(p, lp.rounded_choice, &robj, &reff));
-        EXPECT_GE(robj + 1e-12, lp.bound);
-    }
-}
-
-TEST(Lp, RespectsFixedAssignments)
-{
-    Rng rng(4);
-    IlpProblem p = randomInstance(rng, 4, 3, 0.5);
-    std::vector<int> fixed(4, -1);
-    fixed[2] = 1;
-    LpResult lp = solveLpRelaxation(p, fixed);
-    if (lp.feasible) {
-        EXPECT_EQ(lp.base_choice[2], 1);
-    }
-}
-
-TEST(Bnb, MatchesBruteForceOnRandomInstances)
-{
-    Rng rng(5);
-    for (int trial = 0; trial < 40; ++trial) {
-        IlpProblem p = randomInstance(rng, 6, 3, 1.0);
-        double opt = bruteForce(p);
-        IlpSolution s = solveBranchAndBound(p);
-        if (!std::isfinite(opt)) {
-            EXPECT_FALSE(s.feasible) << "trial " << trial;
-            continue;
-        }
-        ASSERT_TRUE(s.feasible) << "trial " << trial;
-        EXPECT_NEAR(s.objective, opt, 1e-9) << "trial " << trial;
-        double obj, eff;
-        EXPECT_TRUE(verifySolution(p, s.choice, &obj, &eff));
-    }
-}
-
 TEST(Dp, MatchesBruteForceOnGridInstances)
 {
     Rng rng(6);
@@ -159,16 +83,18 @@ TEST(Dp, MatchesBruteForceOnGridInstances)
     }
 }
 
-TEST(Solvers, CrossValidateOnLargerInstances)
+TEST(Dp, MatchesBruteForceOnLargerInstances)
 {
+    // The largest instances the enumeration still finishes quickly
+    // (4^10 leaves each).
     Rng rng(7);
-    for (int trial = 0; trial < 10; ++trial) {
-        IlpProblem p = randomInstance(rng, 40, 4, 1.0);
-        IlpSolution bnb = solveBranchAndBound(p);
+    for (int trial = 0; trial < 4; ++trial) {
+        IlpProblem p = randomInstance(rng, 10, 4, 1.0);
+        const double opt = bruteForce(p);
         IlpSolution dp = solveDp(p, 100);
-        ASSERT_EQ(bnb.feasible, dp.feasible);
-        if (bnb.feasible) {
-            EXPECT_NEAR(bnb.objective, dp.objective, 1e-9);
+        ASSERT_EQ(dp.feasible, std::isfinite(opt)) << "trial " << trial;
+        if (dp.feasible) {
+            EXPECT_NEAR(dp.objective, opt, 1e-9) << "trial " << trial;
         }
     }
 }
@@ -264,29 +190,24 @@ TEST(Verify, RejectsBadChoices)
     EXPECT_TRUE(verifySolution(p, {0, 1, 0}, nullptr, nullptr));
 }
 
-TEST(Bnb, RandomPropertySweepAgainstDp)
+TEST(Dp, TargetSweepMatchesBruteForce)
 {
-    // Property: on grid instances both exact solvers agree for every
-    // target in a sweep.
+    // Property: on a grid instance the DP finds the exact optimum for
+    // every target in a sweep.
     Rng rng(14);
-    IlpProblem p = randomInstance(rng, 20, 4, 1.0);
+    IlpProblem p = randomInstance(rng, 9, 4, 1.0);
     for (double target :
          {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
         IlpProblem pt = p;
         pt.target = target;
-        // Rescale efficiencies onto the new target's DP grid: use
-        // resolution aligned with the 1.0-grid (multiples of 0.01).
-        IlpSolution a = solveBranchAndBound(pt);
-        IlpSolution dp = solveDp(pt, static_cast<int>(
-                                         std::lround(target / 0.01)) ==
-                                             0
-                                         ? 100
-                                         : static_cast<int>(std::lround(
-                                               target / 0.01)));
-        ASSERT_EQ(a.feasible, dp.feasible) << "target " << target;
-        if (a.feasible) {
-            EXPECT_NEAR(a.objective, dp.objective, 1e-9)
-                << "target " << target;
+        // Resolution aligned with the 1.0-grid (multiples of 0.01), so
+        // the DP is exact on the new target.
+        const int steps = static_cast<int>(std::lround(target / 0.01));
+        IlpSolution dp = solveDp(pt, steps == 0 ? 100 : steps);
+        const double opt = bruteForce(pt);
+        ASSERT_EQ(dp.feasible, std::isfinite(opt)) << "target " << target;
+        if (dp.feasible) {
+            EXPECT_NEAR(dp.objective, opt, 1e-9) << "target " << target;
         }
     }
 }

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "nn/model.h"
@@ -251,38 +252,48 @@ fullSeqLastRow(LlamaModel &model, const std::vector<int32_t> &tokens)
 
 TEST(ServeDecode, Fp32CacheBitIdenticalToFullSequence)
 {
-    // Decode rows equal the full forward's bit for bit whenever both
-    // passes' GEMM shapes select the same packed-or-not path (packed
-    // and unpacked GEMMs differ in low-order bits by contract). Every
-    // microModel GEMM has an inner dim below 32, so prefill, full
-    // forward and decode all take the unpacked kernels.
+    // Decode rows equal the full forward's bit for bit: every GEMM runs
+    // one driver whose rows do not depend on the other rows of the
+    // call. The second model is llama70b_sim (GQA) cut to two blocks,
+    // whose 24-token prompt gives FFN GEMMs of training size; the third
+    // has 24-wide heads, so the packed V panel spans two strips.
     GlobalPoolGuard pool_guard;
 
-    ModelConfig cfg = microModel();
-    ASSERT_LT(cfg.d_model, 32);
-    ASSERT_LT(cfg.ffn_hidden, 32);
-    LlamaModel model(cfg, 21);
-    model.setScheme(PrecisionScheme::uniform(
-        model.registry().numLinear(), Precision::FP8));
-    const auto prompt = someTokens(7, cfg.vocab_size, 22);
-    const int64_t steps = 8;
+    ModelConfig wide = llama70bSim();
+    wide.n_blocks = 2;
+    ModelConfig wide_heads = microModel();
+    wide_heads.d_model = 48;
+    wide_heads.n_heads = 2;
+    wide_heads.n_kv_heads = 1;
+    wide_heads.name = "wide_heads";
+    for (const auto &[cfg, prompt_len] :
+         {std::make_pair(microModel(), int64_t{7}),
+          std::make_pair(wide, int64_t{24}),
+          std::make_pair(wide_heads, int64_t{19})}) {
+        SCOPED_TRACE(cfg.name);
+        LlamaModel model(cfg, 21);
+        model.setScheme(PrecisionScheme::uniform(
+            model.registry().numLinear(), Precision::FP8));
+        const auto prompt = someTokens(prompt_len, cfg.vocab_size, 22);
+        const int64_t steps = 8;
 
-    for (int threads : {1, 2, 8}) {
-        SCOPED_TRACE(threads);
-        runtime::setGlobalThreadCount(threads);
-        std::vector<int32_t> generated;
-        auto rows = decodeTrajectory(model, prompt, steps,
-                                     serve::KvCacheMode::Fp32,
-                                     &generated);
-        std::vector<int32_t> ctx = prompt;
-        for (int64_t s = 0; s < steps; ++s) {
-            ctx.push_back(generated[static_cast<size_t>(s)]);
-            const auto ref = fullSeqLastRow(model, ctx);
-            for (int64_t v = 0; v < cfg.vocab_size; ++v)
-                ASSERT_EQ(rows[static_cast<size_t>(s)]
-                              [static_cast<size_t>(v)],
-                          ref[static_cast<size_t>(v)])
-                    << "step " << s << " vocab " << v;
+        for (int threads : {1, 2, 8}) {
+            SCOPED_TRACE(threads);
+            runtime::setGlobalThreadCount(threads);
+            std::vector<int32_t> generated;
+            auto rows = decodeTrajectory(model, prompt, steps,
+                                         serve::KvCacheMode::Fp32,
+                                         &generated);
+            std::vector<int32_t> ctx = prompt;
+            for (int64_t s = 0; s < steps; ++s) {
+                ctx.push_back(generated[static_cast<size_t>(s)]);
+                const auto ref = fullSeqLastRow(model, ctx);
+                for (int64_t v = 0; v < cfg.vocab_size; ++v)
+                    ASSERT_EQ(rows[static_cast<size_t>(s)]
+                                  [static_cast<size_t>(v)],
+                              ref[static_cast<size_t>(v)])
+                        << "step " << s << " vocab " << v;
+            }
         }
     }
 }

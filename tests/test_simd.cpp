@@ -376,7 +376,7 @@ TEST(SimdPack, PackKernelsBitExactAcrossBackends)
     }
 }
 
-TEST(SimdPack, PackedBlockGemmBackendsAgreeWithinTolerance)
+TEST(SimdPack, StripGemmBackendsAgreeWithinTolerance)
 {
     SKIP_WITHOUT_AVX2();
     const int64_t mb = 45, n = 39, k = 83;
@@ -388,10 +388,15 @@ TEST(SimdPack, PackedBlockGemmBackendsAgreeWithinTolerance)
     auto bp = packWith(simd::scalarKernels(), false, b, false, n, k,
                        nullptr);
     Tensor cs(mb, n), cv(mb, n);
-    simd::scalarKernels().gemmPackedBlock(ap.data(), bp.data(),
-                                          cs.data(), n, mb, n, k);
-    simd::avx2Kernels().gemmPackedBlock(ap.data(), bp.data(), cv.data(),
-                                        n, mb, n, k);
+    for (int64_t r0 = 0; r0 < mb; r0 += simd::kGemmPackMR) {
+        const int64_t mr = std::min(simd::kGemmPackMR, mb - r0);
+        simd::scalarKernels().gemmStrip(ap.data() + r0 * k, 1,
+                                        simd::kGemmPackMR, bp.data(),
+                                        cs.data() + r0 * n, n, mr, n, k);
+        simd::avx2Kernels().gemmStrip(ap.data() + r0 * k, 1,
+                                      simd::kGemmPackMR, bp.data(),
+                                      cv.data() + r0 * n, n, mr, n, k);
+    }
     EXPECT_LT(diffNorm(cs, cv), 1e-6 * (1.0 + frobeniusNorm(cs)));
 }
 

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "nn/attention.h"
@@ -190,16 +191,16 @@ TEST(WorkspaceArena, SpillsCoalesceIntoOneSlab)
     EXPECT_EQ(arena.allocCount(), allocs_after_coalesce);
 }
 
-TEST(WorkspaceArena, SteadyStateGemmAllocatesNothingOnBothPaths)
+TEST(WorkspaceArena, SteadyStateGemmAllocatesNothing)
 {
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1);
 
-    // k = 170 packs; k = 20 (< 32) stays on the unpacked kernels.
-    for (const int64_t k : {170, 20}) {
-        SCOPED_TRACE(k);
-        const int64_t m = 150, n = 130;
-        EXPECT_EQ(gemmPackEnabled(m, n, k), k == 170);
+    // 150 rows pack their A strips; 3 decode rows read A in place.
+    for (const auto &[m, k] : {std::make_pair(int64_t{150}, int64_t{170}),
+                               std::make_pair(int64_t{3}, int64_t{20})}) {
+        SCOPED_TRACE(m);
+        const int64_t n = 130;
         Rng rng(3);
         Tensor a = Tensor::randn({m, k}, rng);
         Tensor b_nt = Tensor::randn({n, k}, rng);
@@ -287,9 +288,8 @@ TEST(WorkspaceArena, SteadyStateAttentionStepAllocatesNothing)
     // The attention runtime's zero-alloc contract: a warmed-up
     // forward + backward of the attention core — gathers, strided-
     // batch GEMMs, fused softmax, scatters — touches the heap exactly
-    // zero times, whether the batch's per-head GEMMs run unpacked (4
-    // heads) or packed (8 heads). All scratch lives in workspace
-    // arenas.
+    // zero times, for two GQA group sizes. All scratch lives in
+    // workspace arenas.
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1);
 
@@ -297,9 +297,6 @@ TEST(WorkspaceArena, SteadyStateAttentionStepAllocatesNothing)
         SCOPED_TRACE(heads);
         const AttnShape s{/*batch=*/2, /*seq=*/32, /*n_heads=*/heads,
                           /*n_kv_heads=*/2, /*head_dim=*/16};
-        EXPECT_EQ(gemmBatchedPackEnabled(s.batch * heads, s.seq, s.seq,
-                                         s.head_dim),
-                  heads == 8);
         Rng rng(6);
         Tensor q = Tensor::randn(
             {s.batch * s.seq, s.n_heads * s.head_dim}, rng);
