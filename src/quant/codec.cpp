@@ -120,10 +120,4 @@ quantizeStochastic(float x, const FloatFormat &fmt, Rng &rng)
     return quantizeImpl(x, fmt, Rounding::Stochastic, &rng);
 }
 
-float
-quantizeValue(float x, const FloatFormat &fmt, Rounding mode, Rng *rng)
-{
-    return quantizeImpl(x, fmt, mode, rng);
-}
-
 } // namespace snip

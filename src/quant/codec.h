@@ -34,18 +34,22 @@ const char *roundingName(Rounding r);
  *
  * Magnitudes above maxValue() saturate; subnormals flush onto the
  * subnormal grid; ±0 is preserved as 0.
+ *
+ * This and quantizeStochastic() are the per-value reference: the
+ * tensor sweeps run the KernelTable kernels (simd/kernels.h), which
+ * tests/test_simd.cpp holds to these two bit for bit.
  */
 float quantizeNearest(float x, const FloatFormat &fmt);
 
-/** Quantize one value with stochastic rounding driven by @p rng. */
-float quantizeStochastic(float x, const FloatFormat &fmt, Rng &rng);
-
 /**
- * Quantize one value with the requested mode. @p rng may be null for
- * Rounding::Nearest.
+ * Quantize one value with stochastic rounding driven by @p rng: a
+ * finite, nonzero |x| below maxValue() lying a fraction frac of the way
+ * from its lower grid neighbour to its upper one rounds up when
+ * rng.nextDouble() < frac. That one draw is taken only for such
+ * values; zero, non-finite and saturated inputs draw nothing and map
+ * as in quantizeNearest().
  */
-float quantizeValue(float x, const FloatFormat &fmt, Rounding mode,
-                    Rng *rng);
+float quantizeStochastic(float x, const FloatFormat &fmt, Rng &rng);
 
 /** Spacing of the format's grid at value @p x (the ULP). */
 double ulpAt(float x, const FloatFormat &fmt);

@@ -6,6 +6,7 @@
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
+#include "telemetry/telemetry.h"
 #include "util/string_util.h"
 
 namespace snip {
@@ -113,39 +114,54 @@ rolePolicy(Precision precision, TensorRole role)
     return cfg;
 }
 
-RegionSweep::RegionSweep(float *p, const RegionGrid &regions,
-                         const QuantConfig &cfg, uint64_t call_key)
-    : p(p), regions(regions), cfg(&cfg), grid(quantGrid(cfg.format)),
-      fmt_max(cfg.format.maxValue()), call_key(call_key)
-{
-}
+namespace {
 
-void
-RegionSweep::run(int64_t g0, int64_t g1) const
+/**
+ * Quantizes regions [g0, g1) of one row-major matrix in place under
+ * @p cfg, serially on the calling thread: measureRegion() gives each
+ * region's scale, and each row segment of the region is one call into
+ * the active quantize kernel. Stochastic region g draws from a stream
+ * seeded by (call_key, g), continued across its row segments.
+ */
+struct RegionSweep
 {
-    const simd::KernelTable &kt = simd::activeKernels();
-    const int64_t cols = regions.cols();
-    for (int64_t g = g0; g < g1; ++g) {
-        const RegionGrid::Bounds b = regions.bounds(g);
-        const RegionScale s = measureRegion(kt, p, cols, b, fmt_max);
-        if (cfg->rounding != Rounding::Stochastic) {
-            for (int64_t r = b.r0; r < b.r1; ++r)
-                kt.quantizeNearest(p + r * cols + b.c0, b.c1 - b.c0,
-                                   cfg->format, grid, s.scale, s.inv);
-            continue;
-        }
-        Rng region_rng(call_key + 0x9E3779B97F4A7C15ull *
-                                      (static_cast<uint64_t>(g) + 1));
-        for (int64_t r = b.r0; r < b.r1; ++r) {
-            float *row = p + r * cols;
-            for (int64_t c = b.c0; c < b.c1; ++c) {
-                row[c] = quantizeValue(row[c] * s.scale, cfg->format,
-                                       cfg->rounding, &region_rng) *
-                         s.inv;
+    RegionSweep(float *p, const RegionGrid &regions, const QuantConfig &cfg,
+                uint64_t call_key)
+        : p(p), regions(regions), cfg(&cfg), grid(quantGrid(cfg.format)),
+          fmt_max(cfg.format.maxValue()), call_key(call_key)
+    {
+    }
+
+    void run(int64_t g0, int64_t g1) const
+    {
+        const simd::KernelTable &kt = simd::activeKernels();
+        const int64_t cols = regions.cols();
+        for (int64_t g = g0; g < g1; ++g) {
+            const RegionGrid::Bounds b = regions.bounds(g);
+            const RegionScale s = measureRegion(kt, p, cols, b, fmt_max);
+            if (cfg->rounding != Rounding::Stochastic) {
+                for (int64_t r = b.r0; r < b.r1; ++r)
+                    kt.quantizeNearest(p + r * cols + b.c0, b.c1 - b.c0,
+                                       cfg->format, grid, s.scale, s.inv);
+                continue;
             }
+            Rng region_rng(call_key + 0x9E3779B97F4A7C15ull *
+                                          (static_cast<uint64_t>(g) + 1));
+            for (int64_t r = b.r0; r < b.r1; ++r)
+                kt.quantizeStochastic(p + r * cols + b.c0, b.c1 - b.c0,
+                                      grid, s.scale, s.inv, region_rng);
         }
     }
-}
+
+    float *p;
+    RegionGrid regions;
+    const QuantConfig *cfg;
+    QuantGrid grid;
+    double fmt_max;
+    uint64_t call_key;
+};
+
+} // namespace
 
 FakeQuantizer::FakeQuantizer(uint64_t seed) : rng_(seed) {}
 
@@ -160,7 +176,12 @@ FakeQuantizer::quantize(const Tensor &t, const QuantConfig &cfg)
 void
 FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
 {
-    if (cfg.format.name == "bf16" && cfg.rounding == Rounding::Nearest) {
+    const bool stochastic = cfg.rounding == Rounding::Stochastic;
+    telemetry::Scope span(telemetry::Timer::Quantize,
+                          stochastic ? "quantize_stochastic"
+                                     : "quantize_nearest",
+                          "numel", t.numel());
+    if (cfg.format.name == "bf16" && !stochastic) {
         // Fast path: bf16 needs no rescaling, so the whole tensor is
         // one tight round-to-nearest-even sweep (exact bit
         // manipulation in every backend).
@@ -185,7 +206,7 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
     // to the sweep, so a warmed call allocates nothing.
     const RegionSweep sweep(
         t.data(), RegionGrid(rows, cols, cfg.scaling), cfg,
-        cfg.rounding == Rounding::Stochastic ? rng_.nextU64() : 0);
+        stochastic ? rng_.nextU64() : 0);
     const RegionSweep *ps = &sweep;
     runtime::parallelFor(0, sweep.regions.count(), 8,
                          [ps](int64_t g0, int64_t g1) { ps->run(g0, g1); });

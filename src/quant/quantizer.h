@@ -68,42 +68,28 @@ void setFp4GradRounding(Rounding rounding);
 Rounding fp4GradRounding();
 
 /**
- * Fake quantization of one row-major matrix in place, region by
- * region: run(g0, g1) measures regions [g0, g1) of @p regions
- * (measureRegion()) and quantizes them under @p cfg, serially on the
- * calling thread. Nearest rounding takes the vectorized grid-snap
- * kernel (bit-exact across backends). Stochastic rounding stays
- * scalar: region g draws from a stream seeded by (@p call_key, g), one
- * draw per element in row-major order, and that sequence is part of
- * the determinism contract. FakeQuantizer fans run() out over the
- * thread pool; inference Linear calls it directly.
- */
-struct RegionSweep
-{
-    RegionSweep(float *p, const RegionGrid &regions, const QuantConfig &cfg,
-                uint64_t call_key);
-
-    void run(int64_t g0, int64_t g1) const;
-
-    float *p;
-    RegionGrid regions;
-    const QuantConfig *cfg;
-    QuantGrid grid;
-    double fmt_max;
-    uint64_t call_key;
-};
-
-/**
  * Applies quantize-dequantize to tensors.
+ *
+ * A call measures every scaling region of the tensor's matrix view
+ * (RegionGrid, measureRegion()) and quantizes it row segment by row
+ * segment through the active KernelTable's quantize kernels, which are
+ * bit-exact across backends. Regions are swept in parallel on the
+ * shared thread pool (runtime/thread_pool.h).
  *
  * Owns the Rng seeding stochastic rounding so repeated calls advance
  * one deterministic stream: each stochastic call draws one 64-bit call
- * key from it, and every scaling region derives an independent stream
- * from (call key, region index). Regions are swept in parallel on the
- * shared thread pool (runtime/thread_pool.h); because the per-region
- * streams and region order are fixed, results are bit-identical for
- * any thread count. Nearest-rounding calls never touch the Rng, so
- * distinct tensors may be quantized concurrently with Nearest configs.
+ * key from it, and region g draws from its own stream seeded by
+ * (call key, g). Within a region the draws follow the codec's
+ * contract (quantizeStochastic()): one draw per eligible element —
+ * finite, nonzero and below the format's max after scaling — in
+ * ascending row-major order, none for any other element. Because the
+ * per-region streams, that draw order and the region order are fixed,
+ * results are bit-identical for any thread count and either backend.
+ * Nearest-rounding calls never touch the Rng, so distinct tensors may
+ * be quantized concurrently with Nearest configs.
+ *
+ * Each call is one telemetry::Timer::Quantize span, named
+ * quantize_nearest or quantize_stochastic after its rounding.
  */
 class FakeQuantizer
 {

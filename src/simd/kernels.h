@@ -4,16 +4,18 @@
  *
  * A KernelTable bundles the architecture-specific inner kernels the
  * library dispatches at runtime (simd/dispatch.h): the GEMM operand
- * packs and register-tiled strip microkernel, the nearest-rounding
- * grid-snap sweep, and the error-metric reductions. Every GEMM runs
- * the one packed microkernel, and each backend fixes its per-element
- * accumulation order (k ascending), so each backend keeps the PR 1
- * guarantee that results are bit-identical for any thread count — and
- * that a row of C never depends on which other rows share the call.
+ * packs and register-tiled strip microkernel, the nearest and
+ * stochastic grid-snap sweeps, and the error-metric reductions. Every
+ * GEMM runs the one packed microkernel, and each backend fixes its
+ * per-element accumulation order (k ascending), so each backend keeps
+ * the guarantee that results are bit-identical for any thread count —
+ * and that a row of C never depends on which other rows share the
+ * call.
  * Different backends may legitimately differ in low-order bits of GEMM
  * and sum-of-squares results (FMA contraction, vector-lane
  * accumulation order); the quantize, bf16-round and max-abs kernels
- * are required to agree bit-for-bit across backends.
+ * are required to agree bit-for-bit across backends (and the
+ * stochastic sweep to leave the same Rng state).
  * tests/test_simd.cpp enforces both contracts.
  */
 #ifndef SNIP_SIMD_KERNELS_H
@@ -92,6 +94,21 @@ using QuantizeNearestFn = void (*)(float *p, int64_t count,
                                    const FloatFormat &fmt,
                                    const QuantGrid &grid, float scale,
                                    float inv_scale);
+
+/**
+ * In-place stochastic-rounding fake quantization of @p count values:
+ * p[i] = quantizeStochastic(p[i] * scale, fmt, rng) * inv_scale, with
+ * fmt the format @p grid describes. Must match that codec loop bit for
+ * bit, draws included: one rng.nextDouble() per *eligible* element
+ * (x = p[i] * scale finite, nonzero and |x| < max_value), in ascending
+ * index order, and none for any other element (zero gives 0, NaN
+ * -max, ±Inf and saturated values ±max). The draw sequence is part of
+ * the determinism contract, so every backend leaves @p rng in the same
+ * state.
+ */
+using QuantizeStochasticFn = void (*)(float *p, int64_t count,
+                                      const QuantGrid &grid, float scale,
+                                      float inv_scale, Rng &rng);
 
 /** In-place bf16 round-to-nearest-even of @p count values (the
  *  tensorwise bf16 fast path; pure bit manipulation, exact). */
@@ -202,6 +219,7 @@ struct KernelTable
     PackBFn packB;         ///< strip-pack (+ fused quantize) B panels
     GemmStripFn gemmStrip; ///< register-tiled A strip x packed B
     QuantizeNearestFn quantizeNearest;
+    QuantizeStochasticFn quantizeStochastic;
     Bf16RoundFn bf16Round;
     MaxAbsFn maxAbs;
     ErrorStatsFn errorStats;

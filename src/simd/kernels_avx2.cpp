@@ -14,9 +14,10 @@
  *     makes low-order bits differ from the scalar backend (tests bound
  *     the relative error).
  *   - The quantize / bf16-round / max-abs kernels reproduce the scalar
- *     codec bit for bit (tests assert exact equality): every step
- *     below is an exact power-of-two scale, an exact bit manipulation,
- *     or the same correctly-rounded float op the scalar path performs.
+ *     codec bit for bit (tests assert exact equality, and the same Rng
+ *     state after a stochastic sweep): every step below is an exact
+ *     power-of-two scale, an exact bit manipulation, or the same
+ *     correctly-rounded float op the scalar path performs.
  */
 #include "simd/kernels.h"
 
@@ -30,6 +31,7 @@
 #include <cstring>
 
 #include "quant/codec.h"
+#include "util/rng.h"
 
 namespace snip {
 namespace simd {
@@ -516,59 +518,64 @@ gemmStripAvx2(const float *a, int64_t a_rs, int64_t a_ks, const float *bp,
 // --------------------------------------------------- quantize / misc
 
 /**
- * Eight-lane grid snap, bit-exact against quantizeNearest() (see
- * QuantGrid in quant/codec.h for why each step is exact). Handling of
- * the scalar path's special cases, in blend order: generic result →
- * NaN forced to -max (the scalar "x > 0 ? +max : -max" on
- * non-finites sends NaN negative regardless of its sign bit) → ±0
- * preserved as +0. ±Inf needs no own blend: its binade scales the
- * normal-path result to +Inf, the min() clamp brings it to max_value,
- * and the sign bit is restored by OR.
+ * Grid index @p q and grid spacing @p ulp of eight magnitudes @p ax
+ * (see QuantGrid in quant/codec.h for why each is exact in float):
+ * in the normal range q is ax's mantissa retagged with exponent
+ * mantissa_bits and ulp is ax's binade times 2^-mantissa_bits; below
+ * min_normal q is ax rescaled by two exact powers of two and ulp is
+ * min_subnormal. A grid point is then an integer index times ulp.
+ */
+inline void
+gridIndex8Avx2(__m256 ax, const QuantGrid &g, __m256 &q, __m256 &ulp)
+{
+    const __m256i bits = _mm256_castps_si256(ax);
+    const __m256 q_norm = _mm256_castsi256_ps(_mm256_or_si256(
+        _mm256_and_si256(bits, _mm256_set1_epi32(0x007FFFFF)),
+        _mm256_set1_epi32((127 + g.mantissa_bits) << 23)));
+    const __m256 ulp_norm = _mm256_mul_ps(
+        _mm256_castsi256_ps(
+            _mm256_and_si256(bits, _mm256_set1_epi32(0x7F800000))),
+        _mm256_set1_ps(g.two_pow_neg_mant));
+    const __m256 q_sub = _mm256_mul_ps(
+        _mm256_mul_ps(ax, _mm256_set1_ps(g.inv_min_sub_hi)),
+        _mm256_set1_ps(g.inv_min_sub_lo));
+    const __m256 is_sub =
+        _mm256_cmp_ps(ax, _mm256_set1_ps(g.min_normal), _CMP_LT_OQ);
+    q = _mm256_blendv_ps(q_norm, q_sub, is_sub);
+    ulp = _mm256_blendv_ps(ulp_norm, _mm256_set1_ps(g.min_subnormal),
+                           is_sub);
+}
+
+/**
+ * Eight-lane grid snap, bit-exact against quantizeNearest(): the
+ * index rounds to nearest even. Handling of the scalar path's special
+ * cases, in blend order: generic result → NaN forced to -max (the
+ * scalar "x > 0 ? +max : -max" on non-finites sends NaN negative
+ * regardless of its sign bit) → ±0 preserved as +0. ±Inf needs no own
+ * blend: its binade makes the ulp +Inf, the min() clamp brings the
+ * product to max_value, and the sign bit is restored by OR.
  */
 inline __m256
 quantize8Avx2(__m256 x, const QuantGrid &g)
 {
-    const __m256i abs_mask = _mm256_set1_epi32(0x7FFFFFFF);
-    const __m256i mant_mask = _mm256_set1_epi32(0x007FFFFF);
-    const __m256i exp_mask = _mm256_set1_epi32(0x7F800000);
-    const __m256i retag_exp =
-        _mm256_set1_epi32((127 + g.mantissa_bits) << 23);
-
-    __m256 ax = _mm256_and_ps(x, _mm256_castsi256_ps(abs_mask));
-    __m256 sign = _mm256_andnot_ps(_mm256_castsi256_ps(abs_mask), x);
-    __m256i bits = _mm256_castps_si256(ax);
-
-    // Normal range: grid index = mantissa-retagged ax, exact in float.
-    __m256 q = _mm256_castsi256_ps(_mm256_or_si256(
-        _mm256_and_si256(bits, mant_mask), retag_exp));
-    __m256 r = _mm256_round_ps(
+    const __m256 abs_mask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+    const __m256 ax = _mm256_and_ps(x, abs_mask);
+    const __m256 sign = _mm256_andnot_ps(abs_mask, x);
+    __m256 q, ulp;
+    gridIndex8Avx2(ax, g, q, ulp);
+    const __m256 idx = _mm256_round_ps(
         q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    __m256 binade = _mm256_castsi256_ps(_mm256_and_si256(bits, exp_mask));
-    __m256 res_norm = _mm256_mul_ps(
-        _mm256_mul_ps(r, _mm256_set1_ps(g.two_pow_neg_mant)), binade);
-
-    // Subnormal range: index = ax / min_subnormal via two exact
-    // power-of-two scales.
-    __m256 qs = _mm256_mul_ps(
-        _mm256_mul_ps(ax, _mm256_set1_ps(g.inv_min_sub_hi)),
-        _mm256_set1_ps(g.inv_min_sub_lo));
-    __m256 rs = _mm256_round_ps(
-        qs, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    __m256 res_sub = _mm256_mul_ps(rs, _mm256_set1_ps(g.min_subnormal));
-
-    __m256 is_sub =
-        _mm256_cmp_ps(ax, _mm256_set1_ps(g.min_normal), _CMP_LT_OQ);
-    __m256 res = _mm256_blendv_ps(res_norm, res_sub, is_sub);
     // Saturation: values at or above max_value (and +Inf, and the
     // rare round-up past the top grid point) all clamp here.
-    res = _mm256_min_ps(res, _mm256_set1_ps(g.max_value));
+    const __m256 res =
+        _mm256_min_ps(_mm256_mul_ps(idx, ulp), _mm256_set1_ps(g.max_value));
     __m256 out = _mm256_or_ps(res, sign);
-
-    __m256 nan_mask = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
-    out = _mm256_blendv_ps(out, _mm256_set1_ps(-g.max_value), nan_mask);
-    __m256 zero_mask =
-        _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_EQ_OQ);
-    return _mm256_blendv_ps(out, _mm256_setzero_ps(), zero_mask);
+    out = _mm256_blendv_ps(out, _mm256_set1_ps(-g.max_value),
+                           _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+    return _mm256_blendv_ps(
+        out, _mm256_setzero_ps(),
+        _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_EQ_OQ));
 }
 
 void
@@ -586,6 +593,132 @@ quantizeNearestAvx2(float *p, int64_t count, const FloatFormat &fmt,
     // Scalar codec on the tail: trivially bit-exact.
     for (int64_t i = n8; i < count; ++i)
         p[i] = quantizeNearest(p[i] * scale, fmt) * inv_scale;
+}
+
+/** Lanes of @p x that draw a uniform under stochastic rounding:
+ *  finite, nonzero and |x| < max_value (ordered compares, so NaN fails
+ *  both and +Inf the first). */
+inline __m256
+drawMask8Avx2(__m256 x, const QuantGrid &g)
+{
+    const __m256 ax =
+        _mm256_and_ps(x, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF)));
+    return _mm256_and_ps(
+        _mm256_cmp_ps(ax, _mm256_set1_ps(g.max_value), _CMP_LT_OQ),
+        _mm256_cmp_ps(ax, _mm256_setzero_ps(), _CMP_GT_OQ));
+}
+
+/**
+ * Eight-lane stochastic grid snap, bit-exact against
+ * quantizeStochastic() given each drawing lane's uniform (@p u_lo
+ * holds lanes 0-3, @p u_hi lanes 4-7; other lanes' values are
+ * ignored). The grid index q and its floor are exact in float, so
+ * frac = q - floor(q) is the codec's frac, and the codec's
+ * nextDouble() < frac runs as the same double compare in two 4-lane
+ * halves. Lanes that draw nothing take the codec's results: +0 for
+ * ±0, -max for NaN, ±max for ±Inf and saturated values.
+ */
+inline __m256
+stochastic8Avx2(__m256 x, __m256d u_lo, __m256d u_hi, const QuantGrid &g)
+{
+    const __m256 abs_mask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+    const __m256 vmax = _mm256_set1_ps(g.max_value);
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 ax = _mm256_and_ps(x, abs_mask);
+    const __m256 sign = _mm256_andnot_ps(abs_mask, x);
+    __m256 q, ulp;
+    gridIndex8Avx2(ax, g, q, ulp);
+    const __m256 lo =
+        _mm256_round_ps(q, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    const __m256 frac = _mm256_sub_ps(q, lo);
+
+    // Round up where u < frac; both sides are exact doubles.
+    const __m256d up_lo = _mm256_cmp_pd(
+        u_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(frac)), _CMP_LT_OQ);
+    const __m256d up_hi = _mm256_cmp_pd(
+        u_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(frac, 1)), _CMP_LT_OQ);
+    const int up = _mm256_movemask_pd(up_lo) |
+                   (_mm256_movemask_pd(up_hi) << 4);
+    const __m256i lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256 up_mask = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(up), lane_bit), lane_bit));
+    const __m256 idx =
+        _mm256_add_ps(lo, _mm256_and_ps(up_mask, _mm256_set1_ps(1.0f)));
+    const __m256 res = _mm256_or_ps(
+        _mm256_min_ps(_mm256_mul_ps(idx, ulp), vmax), sign);
+
+    __m256 other = _mm256_or_ps(vmax, sign);
+    other = _mm256_blendv_ps(other, _mm256_set1_ps(-g.max_value),
+                             _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+    other = _mm256_blendv_ps(other, zero,
+                             _mm256_cmp_ps(x, zero, _CMP_EQ_OQ));
+    return _mm256_blendv_ps(other, res, drawMask8Avx2(x, g));
+}
+
+/// Values per draw run of the stochastic sweep (eight 8-lane blocks).
+constexpr int64_t kSrChunk = 64;
+
+/**
+ * Stochastic sweep, drawing exactly as the codec loop does: one
+ * rng.nextDouble() per drawing lane, in ascending index order, none
+ * for the others. The draws are scalar (the stream is sequential), so
+ * the sweep runs in chunks of kSrChunk values: a first pass finds each
+ * block's drawing lanes, one nextDoubles() call draws the whole
+ * chunk's uniforms in order, and a second pass hands them out to their
+ * lanes and snaps eight wide. Drawing per block instead would stall
+ * every block's vector loads on the scalar stores of its own uniforms
+ * (~35% slower). The tail block is zero-padded: a padded lane scales
+ * to 0 (or NaN), draws nothing and is never written back.
+ */
+void
+quantizeStochasticAvx2(float *p, int64_t count, const QuantGrid &g,
+                       float scale, float inv_scale, Rng &rng)
+{
+    const __m256 vscale = _mm256_set1_ps(scale);
+    const __m256 vinv = _mm256_set1_ps(inv_scale);
+    const int64_t n8 = count & ~int64_t{7};
+    const size_t tail_bytes =
+        static_cast<size_t>(count - n8) * sizeof(float);
+    alignas(32) float tail[8] = {};
+    std::memcpy(tail, p + n8, tail_bytes);
+    auto block = [&](int64_t i) { return i < n8 ? p + i : tail; };
+
+    alignas(32) double u[kSrChunk];
+    unsigned draw[kSrChunk / 8];
+    for (int64_t c0 = 0; c0 < count; c0 += kSrChunk) {
+        const int64_t c1 = std::min(count, c0 + kSrChunk);
+        int drawn = 0;
+        for (int64_t i = c0, b = 0; i < c1; i += 8, ++b) {
+            const __m256 x =
+                _mm256_mul_ps(_mm256_loadu_ps(block(i)), vscale);
+            draw[b] = static_cast<unsigned>(
+                _mm256_movemask_ps(drawMask8Avx2(x, g)));
+            drawn += __builtin_popcount(draw[b]);
+        }
+        rng.nextDoubles(u, drawn);
+        int k = 0;
+        for (int64_t i = c0, b = 0; i < c1; i += 8, ++b) {
+            float *src = block(i);
+            const __m256 x = _mm256_mul_ps(_mm256_loadu_ps(src), vscale);
+            __m256d u_lo, u_hi;
+            if (draw[b] == 0xFF) {
+                u_lo = _mm256_loadu_pd(u + k);
+                u_hi = _mm256_loadu_pd(u + k + 4);
+                k += 8;
+            } else {
+                alignas(32) double lanes[8];
+                for (int l = 0; l < 8; ++l)
+                    lanes[l] = (draw[b] >> l) & 1u ? u[k++] : 0.0;
+                u_lo = _mm256_load_pd(lanes);
+                u_hi = _mm256_load_pd(lanes + 4);
+            }
+            _mm256_storeu_ps(
+                src,
+                _mm256_mul_ps(stochastic8Avx2(x, u_lo, u_hi, g), vinv));
+        }
+    }
+    std::memcpy(p + n8, tail, tail_bytes);
 }
 
 void
@@ -803,6 +936,7 @@ avx2Kernels()
         packBAvx2,
         gemmStripAvx2,
         quantizeNearestAvx2,
+        quantizeStochasticAvx2,
         bf16RoundAvx2,
         maxAbsAvx2,
         errorStatsAvx2,

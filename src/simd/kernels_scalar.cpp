@@ -3,9 +3,10 @@
  * Portable scalar backend: the plain C++ kernels every build compiles.
  *
  * These are the reference implementations — the GEMM strip kernel is
- * the plain loop nest over the packed layout, and the quantize sweep
- * calls the scalar codec directly.
- * tests/test_simd.cpp holds the AVX2 backend to these outputs.
+ * the plain loop nest over the packed layout, and the quantize sweeps
+ * run the codec's grid arithmetic (quant/codec.cpp) with every format
+ * constant hoisted into the QuantGrid. tests/test_simd.cpp holds both
+ * backends to the codec and the AVX2 backend to these outputs.
  */
 #include <algorithm>
 #include <cmath>
@@ -14,11 +15,84 @@
 
 #include "quant/codec.h"
 #include "simd/kernels.h"
+#include "util/rng.h"
 
 namespace snip {
 namespace simd {
 
 namespace {
+
+// ------------------------------------------------------- grid snap
+
+/** Float bits and back. */
+inline uint32_t
+floatBits(float f)
+{
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+inline float
+bitsFloat(uint32_t u)
+{
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    return f;
+}
+
+/**
+ * One value of the grid snap both quantize sweeps share, bit-exact
+ * against the codec with every format constant read from @p g. A
+ * finite, nonzero |x| below max_value is split into its grid index q
+ * and the grid spacing ulp, both exact in float: in the normal range q
+ * is |x|'s mantissa retagged with exponent mantissa_bits and the ulp
+ * comes from |x|'s exponent bits; below min_normal q is a power-of-two
+ * rescale and the ulp is min_subnormal. Since q < 2^(mantissa_bits +
+ * 1), the integer conversion floor(q) and frac = q - floor(q) are
+ * exact too. @p round_up(frac, lo) picks the upper neighbour and runs
+ * only for those eligible values; zero gives +0, NaN -max and ±Inf or
+ * saturated values ±max. The eligible path selects with integer ops,
+ * not branches: which side of min_normal a value falls on, its sign
+ * and its rounding are coin flips on real data.
+ */
+template <typename RoundUp>
+inline float
+snapOne(float x, const QuantGrid &g, RoundUp &&round_up)
+{
+    if (x == 0.0f)
+        return 0.0f;
+    const uint32_t xb = floatBits(x);
+    const uint32_t bits = xb & 0x7FFFFFFFu;
+    const float ax = bitsFloat(bits);
+    if (!(ax < g.max_value))
+        return x > 0.0f ? g.max_value : -g.max_value;
+    const uint32_t sub = 0u - static_cast<uint32_t>(ax < g.min_normal);
+    const uint32_t q_norm =
+        (bits & 0x007FFFFFu) |
+        (static_cast<uint32_t>(127 + g.mantissa_bits) << 23);
+    const uint32_t q_sub =
+        floatBits(ax * g.inv_min_sub_hi * g.inv_min_sub_lo);
+    const uint32_t ulp_norm =
+        floatBits(bitsFloat(bits & 0x7F800000u) * g.two_pow_neg_mant);
+    const float q = bitsFloat((q_sub & sub) | (q_norm & ~sub));
+    const float ulp =
+        bitsFloat((floatBits(g.min_subnormal) & sub) | (ulp_norm & ~sub));
+    const int32_t lo = static_cast<int32_t>(q);
+    const float frac = q - static_cast<float>(lo);
+    const int32_t idx = lo + static_cast<int32_t>(round_up(frac, lo));
+    const float r = std::min(static_cast<float>(idx) * ulp, g.max_value);
+    return bitsFloat(floatBits(r) | (xb & 0x80000000u));
+}
+
+/** Round-to-nearest, ties to the even grid index. */
+inline float
+snapNearest(float x, const QuantGrid &g)
+{
+    return snapOne(x, g, [](float frac, int32_t lo) {
+        return (frac > 0.5f) | ((frac == 0.5f) & ((lo & 1) != 0));
+    });
+}
 
 // ------------------------------------------------------------ packing
 
@@ -30,7 +104,7 @@ packQuantOne(float x, const PackQuant *pq, int64_t sr, int64_t sc)
     if (pq == nullptr)
         return x;
     const int64_t reg = pq->regions.index(sr, sc);
-    return quantizeNearest(x * pq->scale[reg], *pq->fmt) *
+    return snapNearest(x * pq->scale[reg], *pq->grid) *
            pq->inv_scale[reg];
 }
 
@@ -123,12 +197,25 @@ gemmStripScalar(const float *a, int64_t a_rs, int64_t a_ks,
 }
 
 void
-quantizeNearestScalar(float *p, int64_t count, const FloatFormat &fmt,
-                      const QuantGrid & /*grid*/, float scale,
-                      float inv_scale)
+quantizeNearestScalar(float *p, int64_t count, const FloatFormat & /*fmt*/,
+                      const QuantGrid &grid, float scale, float inv_scale)
 {
     for (int64_t i = 0; i < count; ++i)
-        p[i] = quantizeNearest(p[i] * scale, fmt) * inv_scale;
+        p[i] = snapNearest(p[i] * scale, grid) * inv_scale;
+}
+
+void
+quantizeStochasticScalar(float *p, int64_t count, const QuantGrid &grid,
+                         float scale, float inv_scale, Rng &rng)
+{
+    // nextDouble() < frac is the codec's test; snapOne draws only for
+    // eligible values, in index order.
+    for (int64_t i = 0; i < count; ++i)
+        p[i] = snapOne(p[i] * scale, grid,
+                       [&rng](float frac, int32_t) {
+                           return rng.nextDouble() < frac;
+                       }) *
+               inv_scale;
 }
 
 void
@@ -234,6 +321,7 @@ scalarKernels()
         packBScalar,
         gemmStripScalar,
         quantizeNearestScalar,
+        quantizeStochasticScalar,
         bf16RoundScalar,
         maxAbsScalar,
         errorStatsScalar,

@@ -322,7 +322,7 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
 const char *const kTimerNames[] = {
     "gemm", "attn_fwd", "attn_bwd", "pool_job", "scheme_wait", "step",
     "scheme_apply", "fwd", "bwd", "optim", "scheme_solve", "handoff_wait",
-    "prefill", "decode_step"};
+    "prefill", "decode_step", "quantize"};
 static_assert(sizeof(kTimerNames) / sizeof(kTimerNames[0]) == kNumTimers,
               "one export name per timer");
 

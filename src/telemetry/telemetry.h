@@ -165,6 +165,7 @@ enum class Timer : int
     HandoffWait, ///< one blocking wait on the update service
     Prefill,     ///< one serving prefill forward
     DecodeStep,  ///< one coalesced serving decode iteration
+    Quantize,    ///< one FakeQuantizer call (span named by rounding)
     kCount
 };
 

@@ -14,7 +14,7 @@ using detail::SpanCell;
 using telemetry::Timer;
 
 const char *const kCategoryNames[kNumCategories] = {
-    "train", "scheme", "pool", "gemm", "attn", "serve"};
+    "train", "scheme", "pool", "gemm", "attn", "serve", "quant"};
 
 /** The category of each timer's spans, in Timer order. */
 const Category kTimerCategory[] = {
@@ -32,6 +32,7 @@ const Category kTimerCategory[] = {
     Category::Scheme, // HandoffWait
     Category::Serve,  // Prefill
     Category::Serve,  // DecodeStep
+    Category::Quant,  // Quantize
 };
 static_assert(sizeof(kTimerCategory) / sizeof(kTimerCategory[0]) ==
                   telemetry::kNumTimers,

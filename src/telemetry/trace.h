@@ -48,6 +48,7 @@ enum class Category : int
     Gemm,   ///< GEMM driver invocations
     Attn,   ///< attention fwd/bwd core invocations
     Serve,  ///< request lifecycle: queued, prefill, decode_step, ...
+    Quant,  ///< materializing fake quantization (FakeQuantizer)
     kCount
 };
 

@@ -53,6 +53,13 @@ Rng::nextDouble()
     return (nextU64() >> 11) * 0x1.0p-53;
 }
 
+void
+Rng::nextDoubles(double *out, int n)
+{
+    for (int i = 0; i < n; ++i)
+        out[i] = nextDouble();
+}
+
 float
 Rng::nextFloat()
 {

@@ -34,6 +34,10 @@ class Rng
     /** Uniform in [0, 1). */
     double nextDouble();
 
+    /** @p n uniforms in [0, 1) into @p out: the same values, and the
+     *  same stream position after, as @p n nextDouble() calls. */
+    void nextDoubles(double *out, int n);
+
     /** Uniform float in [0, 1). */
     float nextFloat();
 

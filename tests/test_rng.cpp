@@ -37,6 +37,19 @@ TEST(Rng, DoubleInUnitInterval)
     }
 }
 
+TEST(Rng, NextDoublesEqualsRepeatedNextDouble)
+{
+    // The bulk draw is the same stream: same values, same position.
+    for (int n : {0, 1, 7, 8, 64}) {
+        Rng a(11), b(11);
+        double bulk[64];
+        a.nextDoubles(bulk, n);
+        for (int i = 0; i < n; ++i)
+            EXPECT_EQ(bulk[i], b.nextDouble()) << "n=" << n << " i=" << i;
+        EXPECT_EQ(a.state(), b.state()) << "n=" << n;
+    }
+}
+
 TEST(Rng, NextBelowIsInRangeAndCoversValues)
 {
     Rng rng(11);

@@ -13,6 +13,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -149,26 +150,118 @@ adversarialValues(const FloatFormat &fmt)
     return vals;
 }
 
+const FloatFormat *const kAllFormats[] = {&fp4E2m1(), &fp6E3m2(),
+                                          &fp8E4m3(), &fp8E5m2(),
+                                          &bf16(),    &fp16()};
+
 TEST(SimdQuantize, BitExactAcrossBackendsEveryFormat)
 {
-    SKIP_WITHOUT_AVX2();
-    const FloatFormat *formats[] = {&fp4E2m1(),  &fp6E3m2(), &fp8E4m3(),
-                                    &fp8E5m2(),  &bf16(),    &fp16()};
-    for (const FloatFormat *fmt : formats) {
+    // Both backends against the codec loop; the AVX2 half skips on
+    // hosts without it.
+    const bool avx2 = simd::cpuSupportsAvx2();
+    for (const FloatFormat *fmt : kAllFormats) {
         std::vector<float> vals = adversarialValues(*fmt);
         const QuantGrid grid = quantGrid(*fmt);
         for (float scale : {1.0f, 0.731f, 512.0f}) {
-            std::vector<float> a = vals, b = vals;
+            std::vector<float> ref = vals, a = vals, b = vals;
             const float inv = 1.0f / scale;
+            for (float &x : ref)
+                x = quantizeNearest(x * scale, *fmt) * inv;
             simd::scalarKernels().quantizeNearest(
                 a.data(), static_cast<int64_t>(a.size()), *fmt, grid,
                 scale, inv);
+            ASSERT_EQ(0, std::memcmp(ref.data(), a.data(),
+                                     a.size() * sizeof(float)))
+                << "scalar " << fmt->name << " scale=" << scale;
+            if (!avx2)
+                continue;
             simd::avx2Kernels().quantizeNearest(
                 b.data(), static_cast<int64_t>(b.size()), *fmt, grid,
                 scale, inv);
             ASSERT_EQ(0, std::memcmp(a.data(), b.data(),
                                      a.size() * sizeof(float)))
                 << fmt->name << " scale=" << scale;
+        }
+    }
+}
+
+/** Stochastic-sweep input: the adversarial values, plus the same dense
+ *  values with a zero, a non-finite or a saturated value in every
+ *  third slot, so 8-lane blocks see every mix of lanes that draw and
+ *  lanes that do not. */
+std::vector<float>
+stochasticValues(const FloatFormat &fmt)
+{
+    std::vector<float> vals = adversarialValues(fmt);
+    const float max_v = static_cast<float>(fmt.maxValue());
+    const float holes[] = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           max_v,
+                           -max_v * 3.0f};
+    const size_t n = vals.size();
+    for (size_t i = 0; i < n; ++i) {
+        const float v = i % 3 == 0 ? holes[(i / 3) % 7] : vals[i];
+        vals.push_back(v);
+    }
+    return vals;
+}
+
+TEST(SimdQuantize, StochasticBitExactWithCodecDrawsEveryFormat)
+{
+    // The stochastic slot on both backends against the codec loop
+    // quantizeStochastic(p[i] * scale) * inv: identical bytes, and an
+    // identical Rng state after every call, which pins the draw count
+    // (one per eligible element, none for the rest). Lengths 0..17
+    // chunk the input so every 8-lane tail occurs, with each Rng
+    // continuing across chunks as a region's stream does across rows.
+    const bool avx2 = simd::cpuSupportsAvx2();
+    for (const FloatFormat *fmt : kAllFormats) {
+        const std::vector<float> vals = stochasticValues(*fmt);
+        const QuantGrid grid = quantGrid(*fmt);
+        for (float scale : {1.0f, 0.731f, 512.0f}) {
+            const float inv = 1.0f / scale;
+            for (int64_t len = 0; len <= 17; ++len) {
+                Rng rng_ref(99), rng_s(99), rng_v(99);
+                std::vector<float> ref = vals, a = vals, b = vals;
+                const int64_t n = static_cast<int64_t>(vals.size());
+                // len 0 makes one (empty) call.
+                for (int64_t i0 = 0; i0 + len <= n;
+                     i0 += std::max<int64_t>(len, 1)) {
+                    for (int64_t i = i0; i < i0 + len; ++i)
+                        ref[static_cast<size_t>(i)] =
+                            quantizeStochastic(
+                                ref[static_cast<size_t>(i)] * scale, *fmt,
+                                rng_ref) *
+                            inv;
+                    simd::scalarKernels().quantizeStochastic(
+                        a.data() + i0, len, grid, scale, inv, rng_s);
+                    ASSERT_EQ(rng_ref.state(), rng_s.state())
+                        << "scalar " << fmt->name << " scale=" << scale
+                        << " len=" << len << " at " << i0;
+                    if (avx2) {
+                        simd::avx2Kernels().quantizeStochastic(
+                            b.data() + i0, len, grid, scale, inv, rng_v);
+                        ASSERT_EQ(rng_ref.state(), rng_v.state())
+                            << "avx2 " << fmt->name << " scale=" << scale
+                            << " len=" << len << " at " << i0;
+                    }
+                    if (len == 0)
+                        break;
+                }
+                ASSERT_EQ(0, std::memcmp(ref.data(), a.data(),
+                                         a.size() * sizeof(float)))
+                    << "scalar " << fmt->name << " scale=" << scale
+                    << " len=" << len;
+                if (avx2) {
+                    ASSERT_EQ(0, std::memcmp(ref.data(), b.data(),
+                                             b.size() * sizeof(float)))
+                        << "avx2 " << fmt->name << " scale=" << scale
+                        << " len=" << len;
+                }
+            }
         }
     }
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "quant/quantizer.h"
 #include "runtime/thread_pool.h"
 #include "telemetry/trace.h"
 #include "tensor/gemm.h"
@@ -313,6 +314,34 @@ TEST(Telemetry, InstrumentedGemmKeepsZeroAllocContract)
         run();
         EXPECT_EQ(allocDelta(run), 0);
     }
+}
+
+TEST(Telemetry, QuantizerCallsAreTimedWithoutAllocating)
+{
+    // Every materializing FakeQuantizer call is one Quantize sample,
+    // nearest or stochastic, and a warmed call stays zero-alloc with
+    // both sinks on.
+    InstrumentGuard instrument_guard;
+    GlobalPoolGuard pool_guard;
+    runtime::setGlobalThreadCount(1);
+    setInstruments(true);
+    Rng rng(3);
+    Tensor t = Tensor::randn({64, 256}, rng);
+    FakeQuantizer q(4);
+    const ScalingSpec tiles{Granularity::Tilewise, 128};
+    const QuantConfig nearest{fp4E2m1(), tiles, Rounding::Nearest};
+    const QuantConfig stochastic{fp4E2m1(), tiles, Rounding::Stochastic};
+    auto run = [&] {
+        q.quantizeInPlace(t, nearest);
+        q.quantizeInPlace(t, stochastic);
+    };
+    run();
+    const telemetry::Snapshot before = telemetry::snapshot();
+    EXPECT_EQ(allocDelta(run), 0);
+    const telemetry::Snapshot after = telemetry::snapshot();
+    EXPECT_EQ(after.timer(telemetry::Timer::Quantize).count -
+                  before.timer(telemetry::Timer::Quantize).count,
+              2);
 }
 
 TEST(Telemetry, DisabledModeIsFree)
